@@ -25,7 +25,12 @@
 //!   tuning record > fastest supported ISA default).
 //!
 //! Fringe tiles smaller than `mr x nr` are handled by zero-padding the
-//! packed panels and a generic-size edge writeback.
+//! packed panels and a generic-size edge writeback. Tiles whose `B` is at
+//! most `THIN_WIDTH` (10) columns wide (a solve or residual with a few
+//! right-hand sides) skip packing altogether: a thin body, monomorphized
+//! per width, reads rows of `A` in place and rows of `B` by stride, holding
+//! 4 rows x `w` columns of accumulators — a packed `nr`-wide panel would be
+//! mostly zero padding, and packing would read `A` twice.
 //!
 //! Every variant shares one arithmetic contract — per-element accumulation
 //! order depends only on the `kc` split and the variant's fused/unfused
@@ -44,9 +49,12 @@
 //!
 //! Internally the packing and tile-update machinery operates on *strided
 //! views* (`MatView`) rather than owned [`Matrix`] values, so in-place
-//! consumers (the lookahead LU in [`lu_parallel`][mod@crate::lu_parallel]) can run trailing
-//! updates directly on submatrices of the factored buffer without block
-//! copies.
+//! consumers run their updates directly on submatrices of a live buffer
+//! without block copies: the lookahead LU in
+//! [`lu_parallel`][mod@crate::lu_parallel] on the factored buffer, and the
+//! blocked sweeps of [`crate::trsm`] on the right-hand sides. They go
+//! through `update_region` (serial) or `parallel_region` (the tile queue),
+//! picked by `update_auto` with [`gemm_auto`]'s volume rule.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -102,6 +110,24 @@ impl MatView {
     /// Columns of the viewed region.
     pub(crate) fn cols(&self) -> usize {
         self.cols
+    }
+
+    /// The `rows x cols` sub-region of this view whose top-left corner is
+    /// `(r0, c0)`, under the same immutability contract.
+    ///
+    /// # Panics
+    /// Panics if the sub-region falls outside the view.
+    pub(crate) fn sub(self, r0: usize, c0: usize, rows: usize, cols: usize) -> MatView {
+        assert!(
+            r0 + rows <= self.rows && c0 + cols <= self.cols,
+            "view out of bounds"
+        );
+        MatView {
+            ptr: self.ptr.wrapping_add(r0 * self.ld + c0),
+            ld: self.ld,
+            rows,
+            cols,
+        }
     }
 
     /// Row `i` of the region as a slice.
@@ -937,57 +963,19 @@ pub fn gemm_parallel_with(
         };
     }
 
-    let mtiles = m.div_ceil(blk.mc);
-    let ntiles = n.div_ceil(blk.nc);
-    let tiles = mtiles * ntiles;
-    let workers = threads.min(tiles);
-    let next = AtomicUsize::new(0);
-    let cptr = pool::SyncPtr(c.as_mut_slice().as_mut_ptr());
-    let ldc = n;
-    let (av, bv) = (MatView::of(a), MatView::of(b));
-    let drained: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-
-    pool::global().run(workers, &|w| {
-        let mut abuf = Vec::new();
-        let mut bbuf = Vec::new();
-        loop {
-            let t = next.fetch_add(1, Ordering::Relaxed);
-            if t >= tiles {
-                break;
-            }
-            let (ti, tj) = (t / ntiles, t % ntiles);
-            let i0 = ti * blk.mc;
-            let mh = blk.mc.min(m - i0);
-            let j0 = tj * blk.nc;
-            let nw = blk.nc.min(n - j0);
-            // SAFETY: the atomic counter hands each tile index to exactly
-            // one worker, tile (i0..i0+mh, j0..j0+nw) regions are pairwise
-            // disjoint, and cptr/views borrow `c`/`a`/`b` which outlive the
-            // pool job (`run` blocks until every worker retires).
-            unsafe {
-                packed_tile_update(
-                    cptr.get(),
-                    ldc,
-                    alpha,
-                    av,
-                    bv,
-                    i0,
-                    mh,
-                    j0,
-                    nw,
-                    blk,
-                    krn,
-                    &mut abuf,
-                    &mut bbuf,
-                );
-            }
-            drained[w].fetch_add(1, Ordering::Relaxed);
-        }
-    });
-
-    TileQueueReport {
-        tiles,
-        tiles_per_worker: drained.into_iter().map(AtomicUsize::into_inner).collect(),
+    // SAFETY: the pointer covers the live `m x n` buffer of `c`, which this
+    // call borrows exclusively; the views borrow `a`/`b`, not mutated here.
+    unsafe {
+        parallel_region(
+            c.as_mut_slice().as_mut_ptr(),
+            n,
+            alpha,
+            MatView::of(a),
+            MatView::of(b),
+            blk,
+            krn,
+            threads,
+        )
     }
 }
 
@@ -997,14 +985,58 @@ pub fn gemm_parallel_with(
 ///
 /// This is the entry point the blocked factorizations and the distributed
 /// drivers' local updates go through.
+///
+/// # Panics
+/// Panics if the shapes are not conformant.
 pub fn gemm_auto(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: f64) {
     let (m, k) = a.shape();
-    let n = b.cols();
+    let (kb, n) = b.shape();
+    assert_eq!(k, kb, "gemm: inner dimensions must match");
+    assert_eq!(c.shape(), (m, n), "gemm: output shape must be (m, n)");
+    scale_in_place(c, beta);
+    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    // SAFETY: the pointer covers the live `m x n` buffer of `c`, which this
+    // call borrows exclusively; the views borrow `a`/`b`, not mutated here.
+    unsafe {
+        update_auto(
+            c.as_mut_slice().as_mut_ptr(),
+            n,
+            alpha,
+            MatView::of(a),
+            MatView::of(b),
+        );
+    }
+}
+
+/// `C += alpha * A * B` over the `a.rows() x b.cols()` region at `cptr`,
+/// with the tuned blocking and the selected microkernel: fanned out over
+/// the tile queue ([`parallel_region`]) on [`auto_threads`] workers when the
+/// volume reaches 128³, serial ([`update_region`]) otherwise. The one
+/// serial-vs-parallel rule behind [`gemm_auto`] and the in-place TRSM
+/// sweeps; both routes give the same bits.
+///
+/// # Safety
+/// As [`packed_tile_update`], for the whole region.
+pub(crate) unsafe fn update_auto(cptr: *mut f64, ldc: usize, alpha: f64, a: MatView, b: MatView) {
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    let (blk, krn) = (GemmBlocking::tuned(), selected_kernel());
     let threads = auto_threads();
     if threads > 1 && m * n * k >= 128 * 128 * 128 {
-        gemm_parallel(c, alpha, a, b, beta, threads);
+        parallel_region(cptr, ldc, alpha, a, b, blk, krn, threads);
     } else {
-        gemm(c, alpha, a, b, beta);
+        update_region(
+            cptr,
+            ldc,
+            alpha,
+            a,
+            b,
+            blk,
+            krn,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
     }
 }
 
@@ -1053,6 +1085,9 @@ fn scale_in_place(c: &mut Matrix, beta: f64) {
 /// applied to `C`. `i0`/`j0` are relative to the C region `cptr` points at,
 /// which may itself be an `ldc`-strided submatrix of a larger buffer.
 ///
+/// A tile at most [`THIN_WIDTH`] columns wide takes the unpacked thin body
+/// instead ([`thin_tile_update`]), under the same arithmetic contract.
+///
 /// # Safety
 /// `cptr` must point at a live `ldc`-strided row-major region covering the
 /// tile, no other thread may concurrently touch rows `i0..i0+mh` columns
@@ -1074,6 +1109,12 @@ pub(crate) unsafe fn packed_tile_update(
     abuf: &mut Vec<f64>,
     bbuf: &mut Vec<f64>,
 ) {
+    if mh == 0 || nw == 0 {
+        return;
+    }
+    if nw <= THIN_WIDTH && thin_tile_update(cptr, ldc, alpha, a, b, i0, mh, j0, nw, blk.kc, krn) {
+        return;
+    }
     let k = a.cols();
     let (mr, nr) = (krn.mr, krn.nr);
     let mut pc = 0;
@@ -1131,6 +1172,256 @@ pub(crate) unsafe fn update_region(
         for j0 in (0..n).step_by(blk.nc) {
             let nw = blk.nc.min(n - j0);
             packed_tile_update(cptr, ldc, alpha, a, b, i0, mh, j0, nw, blk, krn, abuf, bbuf);
+        }
+    }
+}
+
+/// `C += alpha * A * B` over the whole `a.rows() x b.cols()` region at
+/// `cptr`, with its `(mc, nc)` macro-tiles drained from a shared atomic
+/// counter by `threads` workers of the process-wide [`crate::pool`]: the
+/// one tile queue behind [`gemm_parallel_with`] and [`update_auto`]. Each
+/// tile runs [`packed_tile_update`] with its full `k` reduction, so the
+/// result is bitwise identical to [`update_region`]'s. Returns the
+/// per-worker tile counts.
+///
+/// # Safety
+/// As [`packed_tile_update`], for every tile of the region.
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn parallel_region(
+    cptr: *mut f64,
+    ldc: usize,
+    alpha: f64,
+    a: MatView,
+    b: MatView,
+    blk: GemmBlocking,
+    krn: &Microkernel,
+    threads: usize,
+) -> TileQueueReport {
+    let (m, n) = (a.rows, b.cols);
+    let ntiles = n.div_ceil(blk.nc);
+    let tiles = m.div_ceil(blk.mc) * ntiles;
+    let workers = threads.max(1).min(tiles);
+    let next = AtomicUsize::new(0);
+    let cptr = pool::SyncPtr(cptr);
+    let drained: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
+
+    pool::global().run(workers, &|w| {
+        let mut abuf = Vec::new();
+        let mut bbuf = Vec::new();
+        loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= tiles {
+                break;
+            }
+            let (ti, tj) = (t / ntiles, t % ntiles);
+            let i0 = ti * blk.mc;
+            let mh = blk.mc.min(m - i0);
+            let j0 = tj * blk.nc;
+            let nw = blk.nc.min(n - j0);
+            // SAFETY: the atomic counter hands each tile index to
+            // exactly one worker, tile (i0..i0+mh, j0..j0+nw) regions
+            // are pairwise disjoint, and the caller's contract keeps
+            // the region and the views valid until `run` returns
+            // (it blocks until every worker retires).
+            unsafe {
+                packed_tile_update(
+                    cptr.get(),
+                    ldc,
+                    alpha,
+                    a,
+                    b,
+                    i0,
+                    mh,
+                    j0,
+                    nw,
+                    blk,
+                    krn,
+                    &mut abuf,
+                    &mut bbuf,
+                );
+            }
+            drained[w].fetch_add(1, Ordering::Relaxed);
+        }
+    });
+
+    TileQueueReport {
+        tiles,
+        tiles_per_worker: drained.into_iter().map(AtomicUsize::into_inner).collect(),
+    }
+}
+
+/// Widest `B` tile, in columns, that skips packing. Every width
+/// `1..=THIN_WIDTH` has its own monomorphized body in [`thin_tile`], so its
+/// accumulators are a fixed-size register tile. Chosen from an `n x n` times
+/// `n x w` sweep over `w = 1..=16` at n = 384 and 768 against the packed
+/// path (one core of an AVX-512 host, packed with `avx512_8x16` and with
+/// `avx2_8x4`): the thin body was faster in every run up to w = 10 (by
+/// 1.3–5x) and lost some runs at 11, 13, 15 and 16.
+pub(crate) const THIN_WIDTH: usize = 10;
+
+/// Rows of `C` per thin-body register group.
+const THIN_ROWS: usize = 4;
+
+/// The unpacked path of [`packed_tile_update`] for a tile of `1..=`
+/// [`THIN_WIDTH`] columns: rows of `A` are read in place, rows of `B` by
+/// stride, and every element follows the [`gemm_emulated`] contract —
+/// ascending `kc` blocks, ascending `k` inside a block, fused multiply-add
+/// exactly when `krn.fused`, one unfused `c += alpha * acc` per block.
+/// Returns `false`, having touched nothing, when the host cannot run the
+/// fused body without a libm `fma` call (the caller then packs).
+///
+/// # Safety
+/// As [`packed_tile_update`].
+#[allow(clippy::too_many_arguments)]
+unsafe fn thin_tile_update(
+    cptr: *mut f64,
+    ldc: usize,
+    alpha: f64,
+    a: MatView,
+    b: MatView,
+    i0: usize,
+    mh: usize,
+    j0: usize,
+    nw: usize,
+    kc: usize,
+    krn: &Microkernel,
+) -> bool {
+    let c = cptr.add(i0 * ldc + j0);
+    let (a, b) = (a.sub(i0, 0, mh, a.cols), b.sub(0, j0, b.rows, nw));
+    if krn.fused == PORTABLE_FUSED {
+        thin_tile::<PORTABLE_FUSED>(c, ldc, alpha, a, b, kc);
+        return true;
+    }
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if krn.fused
+        && std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma")
+    {
+        thin_tile_avx2_fma(c, ldc, alpha, a, b, kc);
+        return true;
+    }
+    false
+}
+
+/// The fused thin body compiled for AVX2+FMA, so `mul_add` lowers to
+/// `vfmadd` and never to a libm call.
+///
+/// # Safety
+/// As [`thin_tile`]; the host must have AVX2 and FMA.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn thin_tile_avx2_fma(
+    c: *mut f64,
+    ldc: usize,
+    alpha: f64,
+    a: MatView,
+    b: MatView,
+    kc: usize,
+) {
+    thin_tile::<true>(c, ldc, alpha, a, b, kc);
+}
+
+/// `C += alpha * A * B` for `b.cols()` in `1..=THIN_WIDTH`: dispatch to the
+/// body monomorphized for that width.
+///
+/// # Safety
+/// `c` must point at a live `ldc`-strided `a.rows() x b.cols()` region with
+/// no concurrent access, and the views must satisfy their contract.
+#[inline(always)]
+unsafe fn thin_tile<const FUSE: bool>(
+    c: *mut f64,
+    ldc: usize,
+    alpha: f64,
+    a: MatView,
+    b: MatView,
+    kc: usize,
+) {
+    match b.cols {
+        1 => thin_width::<1, FUSE>(c, ldc, alpha, a, b, kc),
+        2 => thin_width::<2, FUSE>(c, ldc, alpha, a, b, kc),
+        3 => thin_width::<3, FUSE>(c, ldc, alpha, a, b, kc),
+        4 => thin_width::<4, FUSE>(c, ldc, alpha, a, b, kc),
+        5 => thin_width::<5, FUSE>(c, ldc, alpha, a, b, kc),
+        6 => thin_width::<6, FUSE>(c, ldc, alpha, a, b, kc),
+        7 => thin_width::<7, FUSE>(c, ldc, alpha, a, b, kc),
+        8 => thin_width::<8, FUSE>(c, ldc, alpha, a, b, kc),
+        9 => thin_width::<9, FUSE>(c, ldc, alpha, a, b, kc),
+        10 => thin_width::<10, FUSE>(c, ldc, alpha, a, b, kc),
+        w => unreachable!("thin tile of width {w} (limit {THIN_WIDTH})"),
+    }
+}
+
+/// The thin body at width `W`: ascending `kc` blocks, each swept over
+/// [`THIN_ROWS`]-row groups of `A` (then single rows for the remainder).
+///
+/// # Safety
+/// As [`thin_tile`], with `b.cols() == W`.
+#[inline(always)]
+unsafe fn thin_width<const W: usize, const FUSE: bool>(
+    c: *mut f64,
+    ldc: usize,
+    alpha: f64,
+    a: MatView,
+    b: MatView,
+    kc: usize,
+) {
+    debug_assert_eq!(b.cols, W);
+    let (m, k) = (a.rows, a.cols);
+    let mut pc = 0;
+    while pc < k {
+        let kcb = kc.min(k - pc);
+        let bp = b.ptr.add(pc * b.ld);
+        let mut i = 0;
+        while i + THIN_ROWS <= m {
+            let ap = a.ptr.add(i * a.ld + pc);
+            thin_group::<THIN_ROWS, W, FUSE>(c.add(i * ldc), ldc, alpha, ap, a.ld, bp, b.ld, kcb);
+            i += THIN_ROWS;
+        }
+        while i < m {
+            let ap = a.ptr.add(i * a.ld + pc);
+            thin_group::<1, W, FUSE>(c.add(i * ldc), ldc, alpha, ap, a.ld, bp, b.ld, kcb);
+            i += 1;
+        }
+        pc += kcb;
+    }
+}
+
+/// One `kc`-block of an `R x W` register group: `R * W` independent
+/// accumulators over ascending `k`, then one unfused `c += alpha * acc`.
+///
+/// # Safety
+/// `ap` / `bp` must address `R x kc` / `kc x W` in-bounds blocks with row
+/// strides `lda` / `ldb`, and `c` an exclusively held `R x W` block.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn thin_group<const R: usize, const W: usize, const FUSE: bool>(
+    c: *mut f64,
+    ldc: usize,
+    alpha: f64,
+    ap: *const f64,
+    lda: usize,
+    bp: *const f64,
+    ldb: usize,
+    kc: usize,
+) {
+    let mut acc = [[0.0f64; W]; R];
+    for kk in 0..kc {
+        let brow = &*(bp.add(kk * ldb) as *const [f64; W]);
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let ar = *ap.add(r * lda + kk);
+            for (t, &bv) in accr.iter_mut().zip(brow) {
+                *t = if FUSE {
+                    ar.mul_add(bv, *t)
+                } else {
+                    ar * bv + *t
+                };
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let crow = &mut *(c.add(r * ldc) as *mut [f64; W]);
+        for (cv, &t) in crow.iter_mut().zip(accr) {
+            *cv += alpha * t;
         }
     }
 }

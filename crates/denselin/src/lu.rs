@@ -244,8 +244,8 @@ impl LuFactorization {
     ///
     /// Multi-RHS solves go through the blocked [`trsm_lower_left`] /
     /// [`trsm_upper_left`] kernels, whose trailing updates are single
-    /// `gemm_auto` calls over the whole RHS block — `k` right-hand sides
-    /// reread the factor once, not `k` times. Allocates the result; use
+    /// in-place GEMM updates over the whole RHS block — `k` right-hand
+    /// sides read the factor once, not `k` times. Allocates the result; use
     /// [`solve_into`](Self::solve_into) to reuse a caller-provided buffer
     /// (the solversrv batching path needs both).
     pub fn solve(&self, b: &Matrix) -> Matrix {

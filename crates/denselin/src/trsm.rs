@@ -10,22 +10,31 @@
 //! Each has a `unit_diag` flag matching the LAPACK `diag` parameter; LU
 //! stores `L` with an implicit unit diagonal.
 //!
+//! Every variant is one blocked sweep over `BLOCK`-wide diagonal blocks,
+//! run in place on a strided view of `B`: solve a diagonal block by
+//! substitution, then subtract its contribution from the trailing rows
+//! (left solves) or trailing columns (right solves) with one rank-`BLOCK`
+//! GEMM update straight on `B` and the factor — no block is copied out or
+//! back. Wide updates fan out over the GEMM tile queue by
+//! [`gemm_auto`](crate::gemm::gemm_auto)'s volume rule; a few right-hand
+//! sides take the GEMM's unpacked thin path, which reads the factor once.
+//!
 //! The left-solve variants additionally come in `_parallel` forms
 //! ([`trsm_lower_left_parallel`], [`trsm_upper_left_parallel`]) that slice
 //! the right-hand-side columns across the shared [`crate::pool`]. A
 //! triangular solve is independent per RHS column — every output column is
 //! a function of the factor and its own input column, with identical
 //! per-element operation order regardless of which columns sit beside it —
-//! so the sliced solves are bitwise identical to the serial ones. This is
-//! what makes solversrv's coalesced multi-RHS batches scale: previously
-//! only the GEMM inside the blocked path was threaded, and the
-//! unblocked-fringe substitution serialized on one core.
+//! so the sliced solves are bitwise identical to the serial ones. Each
+//! worker sweeps its column range of `B` in place. This is what makes
+//! solversrv's coalesced multi-RHS batches scale: the substitution inside
+//! each diagonal block runs on every core, not only the GEMM updates.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::gemm::gemm_auto;
+use crate::gemm::{update_auto, MatView};
 use crate::matrix::Matrix;
-use crate::pool::{self, SyncPtr};
+use crate::pool;
 
 /// Panel width above which the blocked (GEMM-rich) path is taken.
 const BLOCK: usize = 48;
@@ -33,90 +42,32 @@ const BLOCK: usize = 48;
 /// Solve `L X = B` in place (`B` is overwritten with `X`). `L` is
 /// `n x n` lower triangular; `B` is `n x nrhs`.
 pub fn trsm_lower_left(l: &Matrix, b: &mut Matrix, unit_diag: bool) {
-    let n = check_left(l, b);
-    if n <= BLOCK {
-        return trsm_lower_left_unblocked(l, b, unit_diag, 0, n);
-    }
-    // Blocked forward substitution: solve a diagonal block, then eliminate
-    // its influence on the rows below with one GEMM.
-    let mut k = 0;
-    while k < n {
-        let kb = BLOCK.min(n - k);
-        trsm_lower_left_unblocked(l, b, unit_diag, k, k + kb);
-        if k + kb < n {
-            let l21 = l.block(k + kb, k, n - k - kb, kb);
-            let x1 = b.block(k, 0, kb, b.cols());
-            let mut b2 = b.block(k + kb, 0, n - k - kb, b.cols());
-            gemm_auto(&mut b2, -1.0, &l21, &x1, 1.0);
-            b.set_block(k + kb, 0, &b2);
-        }
-        k += kb;
-    }
+    check_left(l, b);
+    // SAFETY: the view covers `b`, which this call borrows exclusively.
+    unsafe { lower_left(l, Rhs::of(b), unit_diag) }
 }
 
 /// Solve `U X = B` in place. `U` is `n x n` upper triangular.
 pub fn trsm_upper_left(u: &Matrix, b: &mut Matrix, unit_diag: bool) {
-    let n = check_left(u, b);
-    if n <= BLOCK {
-        return trsm_upper_left_unblocked(u, b, unit_diag, 0, n);
-    }
-    let mut k = n;
-    while k > 0 {
-        let kb = BLOCK.min(k);
-        trsm_upper_left_unblocked(u, b, unit_diag, k - kb, k);
-        if k - kb > 0 {
-            let u01 = u.block(0, k - kb, k - kb, kb);
-            let x1 = b.block(k - kb, 0, kb, b.cols());
-            let mut b0 = b.block(0, 0, k - kb, b.cols());
-            gemm_auto(&mut b0, -1.0, &u01, &x1, 1.0);
-            b.set_block(0, 0, &b0);
-        }
-        k -= kb;
-    }
+    check_left(u, b);
+    // SAFETY: as in `trsm_lower_left`.
+    unsafe { upper_left(u, Rhs::of(b), unit_diag) }
 }
 
 /// Solve `X U = B` in place (`B <- B U^-1`). `U` is `n x n` upper
 /// triangular; `B` is `nrhs x n`.
 pub fn trsm_upper_right(b: &mut Matrix, u: &Matrix, unit_diag: bool) {
-    let n = check_right(b, u);
-    if n <= BLOCK {
-        return trsm_upper_right_unblocked(b, u, unit_diag, 0, n);
-    }
-    let mut k = 0;
-    while k < n {
-        let kb = BLOCK.min(n - k);
-        trsm_upper_right_unblocked(b, u, unit_diag, k, k + kb);
-        if k + kb < n {
-            let u12 = u.block(k, k + kb, kb, n - k - kb);
-            let x1 = b.block(0, k, b.rows(), kb);
-            let mut b2 = b.block(0, k + kb, b.rows(), n - k - kb);
-            gemm_auto(&mut b2, -1.0, &x1, &u12, 1.0);
-            b.set_block(0, k + kb, &b2);
-        }
-        k += kb;
-    }
+    check_right(b, u);
+    // SAFETY: as in `trsm_lower_left`.
+    unsafe { upper_right(Rhs::of(b), u, unit_diag) }
 }
 
 /// Solve `X L = B` in place (`B <- B L^-1`). `L` is `n x n` lower
 /// triangular; `B` is `nrhs x n`.
 pub fn trsm_lower_right(b: &mut Matrix, l: &Matrix, unit_diag: bool) {
-    let n = check_right(b, l);
-    if n <= BLOCK {
-        return trsm_lower_right_unblocked(b, l, unit_diag, 0, n);
-    }
-    let mut k = n;
-    while k > 0 {
-        let kb = BLOCK.min(k);
-        trsm_lower_right_unblocked(b, l, unit_diag, k - kb, k);
-        if k - kb > 0 {
-            let l10 = l.block(k - kb, 0, kb, k - kb);
-            let x1 = b.block(0, k - kb, b.rows(), kb);
-            let mut b0 = b.block(0, 0, b.rows(), k - kb);
-            gemm_auto(&mut b0, -1.0, &x1, &l10, 1.0);
-            b.set_block(0, 0, &b0);
-        }
-        k -= kb;
-    }
+    check_right(b, l);
+    // SAFETY: as in `trsm_lower_left`.
+    unsafe { lower_right(Rhs::of(b), l, unit_diag) }
 }
 
 /// [`trsm_lower_left`] with the RHS columns sliced into contiguous chunks
@@ -128,7 +79,9 @@ pub fn trsm_lower_left_parallel(l: &Matrix, b: &mut Matrix, unit_diag: bool, thr
     if threads.max(1) == 1 || b.cols() < 2 || n == 0 {
         return trsm_lower_left(l, b, unit_diag);
     }
-    parallel_columns(b, threads, &|sub| trsm_lower_left(l, sub, unit_diag));
+    // SAFETY: the chunks are disjoint column ranges of `b` (see
+    // `parallel_columns`).
+    parallel_columns(b, threads, &|sub| unsafe { lower_left(l, sub, unit_diag) });
 }
 
 /// [`trsm_upper_left`] with the RHS columns sliced across the shared pool;
@@ -138,44 +91,28 @@ pub fn trsm_upper_left_parallel(u: &Matrix, b: &mut Matrix, unit_diag: bool, thr
     if threads.max(1) == 1 || b.cols() < 2 || n == 0 {
         return trsm_upper_left(u, b, unit_diag);
     }
-    parallel_columns(b, threads, &|sub| trsm_upper_left(u, sub, unit_diag));
+    // SAFETY: as in `trsm_lower_left_parallel`.
+    parallel_columns(b, threads, &|sub| unsafe { upper_left(u, sub, unit_diag) });
 }
 
 /// Split `b`'s columns into up to `threads` contiguous chunks and run `f`
-/// on a contiguous copy of each chunk concurrently, writing the results
-/// back in place. `f` must treat each column independently (every TRSM
-/// does), which makes the transformation bitwise-neutral.
-fn parallel_columns(b: &mut Matrix, threads: usize, f: &(dyn Fn(&mut Matrix) + Sync)) {
-    let (rows, cols) = b.shape();
+/// on an in-place view of each chunk concurrently. `f` must treat each
+/// column independently (every TRSM does), which makes the split
+/// bitwise-neutral.
+fn parallel_columns(b: &mut Matrix, threads: usize, f: &(dyn Fn(Rhs) + Sync)) {
+    let cols = b.cols();
     let chunk = cols.div_ceil(threads.max(1));
     let nchunks = cols.div_ceil(chunk);
-    let ptr = SyncPtr(b.as_mut_slice().as_mut_ptr());
+    let rhs = Rhs::of(b);
     let counter = AtomicUsize::new(0);
     pool::global().run(nchunks, &|_| loop {
         let ci = counter.fetch_add(1, Ordering::Relaxed);
         if ci >= nchunks {
             break;
         }
-        let lo = ci * chunk;
-        let hi = ((ci + 1) * chunk).min(cols);
-        let w = hi - lo;
-        let mut v = Vec::with_capacity(rows * w);
-        for i in 0..rows {
-            // SAFETY: chunks are pairwise-disjoint column ranges of `b`,
-            // which outlives the pool job (`run` joins before returning).
-            unsafe {
-                v.extend_from_slice(std::slice::from_raw_parts(ptr.get().add(i * cols + lo), w));
-            }
-        }
-        let mut sub = Matrix::from_vec(rows, w, v);
-        f(&mut sub);
-        for i in 0..rows {
-            // SAFETY: as above.
-            unsafe {
-                std::slice::from_raw_parts_mut(ptr.get().add(i * cols + lo), w)
-                    .copy_from_slice(sub.row(i));
-            }
-        }
+        // Chunks are pairwise-disjoint column ranges of `b`, which outlives
+        // the pool job (`run` joins before returning).
+        f(rhs.columns(ci * chunk, ((ci + 1) * chunk).min(cols)));
     });
 }
 
@@ -193,15 +130,166 @@ fn check_right(b: &Matrix, t: &Matrix) -> usize {
     n
 }
 
+/// The right-hand sides a sweep solves in place: a `rows x cols` region of
+/// an `ld`-strided row-major buffer. A chunk of the parallel solves is a
+/// column range of the caller's matrix; the serial solves view it whole.
+#[derive(Clone, Copy)]
+struct Rhs {
+    ptr: *mut f64,
+    ld: usize,
+    rows: usize,
+    cols: usize,
+}
+
+// SAFETY: a bundle of pointer + dims; every sharer touches disjoint columns.
+unsafe impl Send for Rhs {}
+unsafe impl Sync for Rhs {}
+
+impl Rhs {
+    fn of(b: &mut Matrix) -> Rhs {
+        Rhs {
+            ptr: b.as_mut_slice().as_mut_ptr(),
+            ld: b.cols(),
+            rows: b.rows(),
+            cols: b.cols(),
+        }
+    }
+
+    /// Columns `lo..hi` of the region.
+    fn columns(self, lo: usize, hi: usize) -> Rhs {
+        assert!(lo <= hi && hi <= self.cols, "column range out of bounds");
+        Rhs {
+            ptr: self.ptr.wrapping_add(lo),
+            cols: hi - lo,
+            ..self
+        }
+    }
+
+    /// Row `i` of the region.
+    ///
+    /// # Safety
+    /// `i < self.rows`, and no other live reference may cover the row.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn row(&self, i: usize) -> &mut [f64] {
+        debug_assert!(i < self.rows);
+        std::slice::from_raw_parts_mut(self.ptr.add(i * self.ld), self.cols)
+    }
+
+    /// A read-only view of the `rows x cols` block at `(r0, c0)`.
+    fn view(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> MatView {
+        // SAFETY: the sweeps only read the block through this view while
+        // `update` writes a disjoint block of the region.
+        unsafe { MatView::from_raw(self.ptr, self.ld, self.rows, self.cols) }
+            .sub(r0, c0, rows, cols)
+    }
+
+    /// `B[r0.., c0..] -= a * b` in place, serial or tile-queue parallel by
+    /// [`gemm_auto`][crate::gemm::gemm_auto]'s rule.
+    ///
+    /// # Safety
+    /// The `a.rows() x b.cols()` block at `(r0, c0)` must lie in the region
+    /// and be disjoint from everything `a` and `b` view.
+    unsafe fn update(&self, r0: usize, c0: usize, a: MatView, b: MatView) {
+        update_auto(self.ptr.add(r0 * self.ld + c0), self.ld, -1.0, a, b);
+    }
+}
+
+/// Blocked forward substitution: solve a diagonal block, then eliminate its
+/// influence on the rows below with one in-place GEMM.
+///
+/// # Safety
+/// `b` must be a live region with no other access for the call, with
+/// `b.rows == l.rows()`.
+unsafe fn lower_left(l: &Matrix, b: Rhs, unit_diag: bool) {
+    let n = b.rows;
+    if b.cols == 0 {
+        return;
+    }
+    let mut k = 0;
+    while k < n {
+        let kb = BLOCK.min(n - k);
+        lower_left_unblocked(l, b, unit_diag, k, k + kb);
+        let rest = n - k - kb;
+        if rest > 0 {
+            let l21 = MatView::of(l).sub(k + kb, k, rest, kb);
+            b.update(k + kb, 0, l21, b.view(k, 0, kb, b.cols));
+        }
+        k += kb;
+    }
+}
+
+/// Blocked back substitution, bottom block first.
+///
+/// # Safety
+/// As [`lower_left`].
+unsafe fn upper_left(u: &Matrix, b: Rhs, unit_diag: bool) {
+    if b.cols == 0 {
+        return;
+    }
+    let mut k = b.rows;
+    while k > 0 {
+        let kb = BLOCK.min(k);
+        upper_left_unblocked(u, b, unit_diag, k - kb, k);
+        if k > kb {
+            let u01 = MatView::of(u).sub(0, k - kb, k - kb, kb);
+            b.update(0, 0, u01, b.view(k - kb, 0, kb, b.cols));
+        }
+        k -= kb;
+    }
+}
+
+/// `B <- B U^-1` by column blocks, eliminating each solved block from the
+/// trailing columns in place.
+///
+/// # Safety
+/// As [`lower_left`], with `b.cols == u.rows()`.
+unsafe fn upper_right(b: Rhs, u: &Matrix, unit_diag: bool) {
+    let n = b.cols;
+    if b.rows == 0 {
+        return;
+    }
+    let mut k = 0;
+    while k < n {
+        let kb = BLOCK.min(n - k);
+        upper_right_unblocked(b, u, unit_diag, k, k + kb);
+        let rest = n - k - kb;
+        if rest > 0 {
+            let u12 = MatView::of(u).sub(k, k + kb, kb, rest);
+            b.update(0, k + kb, b.view(0, k, b.rows, kb), u12);
+        }
+        k += kb;
+    }
+}
+
+/// `B <- B L^-1` by column blocks, last block first.
+///
+/// # Safety
+/// As [`upper_right`].
+unsafe fn lower_right(b: Rhs, l: &Matrix, unit_diag: bool) {
+    if b.rows == 0 {
+        return;
+    }
+    let mut k = b.cols;
+    while k > 0 {
+        let kb = BLOCK.min(k);
+        lower_right_unblocked(b, l, unit_diag, k - kb, k);
+        if k > kb {
+            let l10 = MatView::of(l).sub(k - kb, 0, kb, k - kb);
+            b.update(0, 0, b.view(0, k - kb, b.rows, kb), l10);
+        }
+        k -= kb;
+    }
+}
+
 /// Forward substitution on rows `lo..hi`, assuming rows `< lo` are solved.
 /// All inner loops run over contiguous row slices (AXPY form).
-fn trsm_lower_left_unblocked(l: &Matrix, b: &mut Matrix, unit_diag: bool, lo: usize, hi: usize) {
+unsafe fn lower_left_unblocked(l: &Matrix, b: Rhs, unit_diag: bool, lo: usize, hi: usize) {
     for i in lo..hi {
         let lrow = l.row(i);
+        let bi = b.row(i);
         for (k, &lik) in lrow.iter().enumerate().take(i).skip(lo) {
             if lik != 0.0 {
-                let (bi, bk) = row_pair_mut(b, i, k);
-                for (x, y) in bi.iter_mut().zip(bk) {
+                for (x, y) in bi.iter_mut().zip(b.row(k).iter()) {
                     *x -= lik * y;
                 }
             }
@@ -209,20 +297,20 @@ fn trsm_lower_left_unblocked(l: &Matrix, b: &mut Matrix, unit_diag: bool, lo: us
         if !unit_diag {
             let d = lrow[i];
             assert!(d != 0.0, "singular triangular factor");
-            for x in b.row_mut(i) {
+            for x in bi {
                 *x /= d;
             }
         }
     }
 }
 
-fn trsm_upper_left_unblocked(u: &Matrix, b: &mut Matrix, unit_diag: bool, lo: usize, hi: usize) {
+unsafe fn upper_left_unblocked(u: &Matrix, b: Rhs, unit_diag: bool, lo: usize, hi: usize) {
     for ii in (lo..hi).rev() {
         let urow = u.row(ii);
+        let bi = b.row(ii);
         for (k, &uik) in urow.iter().enumerate().take(hi).skip(ii + 1) {
             if uik != 0.0 {
-                let (bi, bk) = row_pair_mut(b, ii, k);
-                for (x, y) in bi.iter_mut().zip(bk) {
+                for (x, y) in bi.iter_mut().zip(b.row(k).iter()) {
                     *x -= uik * y;
                 }
             }
@@ -230,14 +318,14 @@ fn trsm_upper_left_unblocked(u: &Matrix, b: &mut Matrix, unit_diag: bool, lo: us
         if !unit_diag {
             let d = urow[ii];
             assert!(d != 0.0, "singular triangular factor");
-            for x in b.row_mut(ii) {
+            for x in bi {
                 *x /= d;
             }
         }
     }
 }
 
-fn trsm_upper_right_unblocked(b: &mut Matrix, u: &Matrix, unit_diag: bool, lo: usize, hi: usize) {
+unsafe fn upper_right_unblocked(b: Rhs, u: &Matrix, unit_diag: bool, lo: usize, hi: usize) {
     if !unit_diag {
         for j in lo..hi {
             assert!(u[(j, j)] != 0.0, "singular triangular factor");
@@ -246,8 +334,8 @@ fn trsm_upper_right_unblocked(b: &mut Matrix, u: &Matrix, unit_diag: bool, lo: u
     // Each row of B solves independently; stream along the row slice so the
     // elimination of column j from columns j+1..hi is a contiguous AXPY over
     // both B's row and U's row j.
-    for i in 0..b.rows() {
-        let brow = b.row_mut(i);
+    for i in 0..b.rows {
+        let brow = b.row(i);
         for j in lo..hi {
             let mut x = brow[j];
             if !unit_diag {
@@ -265,14 +353,14 @@ fn trsm_upper_right_unblocked(b: &mut Matrix, u: &Matrix, unit_diag: bool, lo: u
     }
 }
 
-fn trsm_lower_right_unblocked(b: &mut Matrix, l: &Matrix, unit_diag: bool, lo: usize, hi: usize) {
+unsafe fn lower_right_unblocked(b: Rhs, l: &Matrix, unit_diag: bool, lo: usize, hi: usize) {
     if !unit_diag {
         for j in lo..hi {
             assert!(l[(j, j)] != 0.0, "singular triangular factor");
         }
     }
-    for i in 0..b.rows() {
-        let brow = b.row_mut(i);
+    for i in 0..b.rows {
+        let brow = b.row(i);
         for j in (lo..hi).rev() {
             let mut x = brow[j];
             if !unit_diag {
@@ -287,19 +375,6 @@ fn trsm_lower_right_unblocked(b: &mut Matrix, l: &Matrix, unit_diag: bool, lo: u
                 }
             }
         }
-    }
-}
-
-/// Borrow row `target` mutably and row `source` immutably (`target != source`).
-fn row_pair_mut(b: &mut Matrix, target: usize, source: usize) -> (&mut [f64], &[f64]) {
-    debug_assert_ne!(target, source);
-    let nrhs = b.cols();
-    if source < target {
-        let (head, tail) = b.as_mut_slice().split_at_mut(target * nrhs);
-        (&mut tail[..nrhs], &head[source * nrhs..(source + 1) * nrhs])
-    } else {
-        let (head, tail) = b.as_mut_slice().split_at_mut(source * nrhs);
-        (&mut head[target * nrhs..(target + 1) * nrhs], &tail[..nrhs])
     }
 }
 

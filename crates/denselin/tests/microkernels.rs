@@ -17,11 +17,22 @@ use denselin::{
     lu_parallel_with, microkernels, GemmBlocking, Matrix,
 };
 
-/// Shape triples stressing every fringe case of every registered (mr, nr):
-/// below-tile, exact-tile, one-past-tile for mr ∈ {4,6,8} and nr ∈ {4,8,16},
-/// plus empty and reduction-heavy corners.
+/// Shape triples `(m, n, k)` stressing every fringe case of every
+/// registered (mr, nr): below-tile, exact-tile, one-past-tile for
+/// mr ∈ {4,6,8} and nr ∈ {4,8,16}, plus empty and reduction-heavy corners.
+/// The thin (unpacked, `n <= 10`) path gets row counts off its 4-row
+/// group, `k` over several `kc` blocks, its widest width, and `n = 11`, one
+/// past its width limit.
 fn shapes() -> Vec<(usize, usize, usize)> {
     vec![
+        (37, 1, 70),
+        (37, 2, 70),
+        (38, 3, 9),
+        (5, 8, 33),
+        (64, 9, 20),
+        (1, 8, 1),
+        (37, 10, 70),
+        (64, 11, 20),
         (1, 1, 1),
         (3, 3, 2),
         (4, 4, 5),
@@ -247,9 +258,11 @@ fn forcing_each_variant_keeps_lu_parallel_bitwise_serial() {
 
 #[test]
 fn forcing_each_variant_keeps_gemm_update_bitwise_product_then_add() {
-    // In-place accumulation into an offset region: with k <= kc every
-    // element gets one `c + alpha*acc` writeback, exactly what a separate
-    // product (`0 + alpha*acc`) followed by an element-wise add produces.
+    // In-place accumulation into an offset region: every element gets one
+    // `c + alpha*acc` writeback per kc block, which is the emulator run on
+    // the region with beta = 1. With k <= kc that is one writeback, exactly
+    // what a separate product (`0 + alpha*acc`) followed by an element-wise
+    // add produces.
     let mut rng = SplitMix64::new(0x6E0D);
     let kc = GemmBlocking::tuned().kc;
     for krn in microkernels() {
@@ -258,7 +271,6 @@ fn forcing_each_variant_keeps_gemm_update_bitwise_product_then_add() {
         }
         let guard = force_kernel(krn.name).unwrap();
         for (m, n, k) in shapes() {
-            assert!(k <= kc, "shape ({m},{n},{k}) exceeds kc={kc}");
             for (r0, c0) in [(0, 0), (3, 5), (krn.mr + 1, krn.nr - 1)] {
                 for alpha in [1.0, -0.75] {
                     let a = Matrix::random(&mut rng, m, k);
@@ -266,16 +278,22 @@ fn forcing_each_variant_keeps_gemm_update_bitwise_product_then_add() {
                     let c = Matrix::random(&mut rng, r0 + m + 2, c0 + n + 3);
                     let mut got = c.clone();
                     gemm_update(&mut got, r0, c0, alpha, &a, &b);
-                    let mut prod = Matrix::zeros(m, n);
-                    gemm(&mut prod, alpha, &a, &b, 0.0);
-                    let mut want = c.clone();
-                    want.add_block(r0, c0, &prod);
-                    assert_eq!(
-                        got.as_slice(),
-                        want.as_slice(),
+                    let what = format!(
                         "kernel {} shape ({m},{n},{k}) at ({r0},{c0}) alpha {alpha}",
                         krn.name
                     );
+                    let mut region = c.block(r0, c0, m, n);
+                    gemm_emulated(&mut region, alpha, &a, &b, 1.0, kc, krn.fused);
+                    let mut want = c.clone();
+                    want.set_block(r0, c0, &region);
+                    assert_eq!(got.as_slice(), want.as_slice(), "{what} vs emulator");
+                    if k <= kc {
+                        let mut prod = Matrix::zeros(m, n);
+                        gemm(&mut prod, alpha, &a, &b, 0.0);
+                        let mut want = c.clone();
+                        want.add_block(r0, c0, &prod);
+                        assert_eq!(got.as_slice(), want.as_slice(), "{what}");
+                    }
                 }
             }
         }

@@ -3,15 +3,15 @@
 
 use denselin::cholesky::{cholesky_blocked, cholesky_residual, random_spd};
 use denselin::gemm::{
-    gemm, gemm_blocked, gemm_blocked_with, gemm_emulated, gemm_parallel, gemm_parallel_with,
-    gemm_reference, matmul, microkernels, GemmBlocking,
+    force_kernel, gemm, gemm_blocked, gemm_blocked_with, gemm_emulated, gemm_parallel,
+    gemm_parallel_with, gemm_reference, matmul, microkernels, GemmBlocking,
 };
 use denselin::lu::{lu_blocked, lu_unblocked};
 use denselin::lu_parallel::lu_parallel_with;
 use denselin::matrix::Matrix;
 use denselin::trsm::{
-    trsm_lower_left, trsm_lower_left_parallel, trsm_upper_left, trsm_upper_left_parallel,
-    trsm_upper_right,
+    trsm_lower_left, trsm_lower_left_parallel, trsm_lower_right, trsm_upper_left,
+    trsm_upper_left_parallel, trsm_upper_right,
 };
 use denselin::SplitMix64;
 
@@ -451,6 +451,90 @@ fn parallel_trsm_is_bitwise_serial() {
             assert_eq!(su.as_slice(), pu.as_slice());
         },
     );
+}
+
+/// A named in-place solve of a right-hand-side block.
+type Solve<'a> = (&'static str, &'a dyn Fn(&mut Matrix));
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn thin_trsm_solves_match_packed_solves_bitwise() {
+    // A solve with at most 10 right-hand sides runs its trailing updates on
+    // the unpacked thin GEMM path; the same columns solved inside a 24-wide
+    // block take the packed path. Both follow one arithmetic contract, so
+    // every column must come out bit for bit the same, under every variant
+    // and on both sides of the blocked sweep's BLOCK = 48.
+    const WIDE: usize = 24;
+    const AT: usize = 5;
+    let mut rng = SplitMix64::new(0x7415);
+    for krn in microkernels().iter().filter(|k| k.supported()) {
+        let guard = force_kernel(krn.name).unwrap();
+        for n in [47, 48, 49, 97, 300] {
+            // Off-diagonals shrink with n so the solves stay far from overflow.
+            let scale = 1.0 / n as f64;
+            let l = Matrix::from_fn(n, n, |i, j| match i.cmp(&j) {
+                std::cmp::Ordering::Greater => rng.symmetric() * scale,
+                std::cmp::Ordering::Equal => 1.5 + rng.unit(),
+                std::cmp::Ordering::Less => 0.0,
+            });
+            let u = l.transpose();
+            let f = lu_blocked(&Matrix::random(&mut rng, n, n), 32).unwrap();
+            let left: [Solve; 5] = [
+                ("trsm_lower_left", &|b| trsm_lower_left(&l, b, false)),
+                ("trsm_upper_left", &|b| trsm_upper_left(&u, b, true)),
+                ("trsm_lower_left_parallel", &|b| {
+                    trsm_lower_left_parallel(&l, b, true, 2)
+                }),
+                ("trsm_upper_left_parallel", &|b| {
+                    trsm_upper_left_parallel(&u, b, false, 2)
+                }),
+                ("solve_into", &|b| {
+                    let mut out = Matrix::zeros(b.rows(), b.cols());
+                    f.solve_into(b, &mut out);
+                    *b = out;
+                }),
+            ];
+            let right: [Solve; 2] = [
+                ("trsm_upper_right", &|b| trsm_upper_right(b, &u, false)),
+                ("trsm_lower_right", &|b| trsm_lower_right(b, &l, true)),
+            ];
+            for w in 0..=11 {
+                let what = |name: &str| format!("{name} kernel {} n={n} w={w}", krn.name);
+                let wide = Matrix::random(&mut rng, n, WIDE);
+                for (name, solve) in &left {
+                    let mut thin = wide.block(0, AT, n, w);
+                    solve(&mut thin);
+                    let mut packed = wide.clone();
+                    solve(&mut packed);
+                    assert_eq!(thin.shape(), (n, w), "{}", what(name));
+                    assert_eq!(
+                        bits(&thin),
+                        bits(&packed.block(0, AT, n, w)),
+                        "{}",
+                        what(name)
+                    );
+                }
+                let wide = Matrix::random(&mut rng, WIDE, n);
+                for (name, solve) in &right {
+                    let mut thin = wide.block(AT, 0, w, n);
+                    solve(&mut thin);
+                    let mut packed = wide.clone();
+                    solve(&mut packed);
+                    assert_eq!(thin.shape(), (w, n), "{}", what(name));
+                    assert_eq!(
+                        bits(&thin),
+                        bits(&packed.block(AT, 0, w, n)),
+                        "{}",
+                        what(name)
+                    );
+                }
+            }
+        }
+        drop(guard);
+    }
 }
 
 #[test]
