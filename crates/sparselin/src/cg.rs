@@ -106,15 +106,12 @@ impl PrecondSetup {
         }
     }
 
-    /// Flops of one application (estimate; exact for Jacobi).
+    /// Flops of one application, counted from the stored entries.
     fn apply_flops(&self) -> u64 {
         match self {
             PrecondSetup::None => 0,
             PrecondSetup::Jacobi(d) => d.len() as u64,
-            PrecondSetup::SymGs(gs) => {
-                // two triangle solves (≈ 2 flops/nnz each) + diagonal scale
-                4 * gs.bytes() as u64 / std::mem::size_of::<f64>() as u64 / 3 + gs.n() as u64
-            }
+            PrecondSetup::SymGs(gs) => gs.apply_flops(),
         }
     }
 }
@@ -373,6 +370,19 @@ mod tests {
             symgs < plain,
             "SymGS ({symgs} iters) should beat plain CG ({plain})"
         );
+    }
+
+    #[test]
+    fn symgs_accounting_counts_what_is_stored() {
+        // 3×3 grid: 12 edges, so each triangle stores 12 off-diagonal
+        // entries and 9 diagonals, and both have 5 levels (x + y).
+        let a = spd_laplacian(3, 3, 0.0);
+        let pre = PrecondSetup::prepare(Preconditioner::SymGs, &a).unwrap();
+        // per triangle 2·12 + 9 = 33; plus the 9 diagonal multiplies
+        assert_eq!(pre.apply_flops(), 33 + 33 + 9);
+        // per triangle: ptr 10 + cols 12 + vals 12 + diag 9 + level_ptr 6
+        // + rows 9 = 58 words; plus the SymGs diagonal's 9 words
+        assert_eq!(pre.bytes(), (58 + 58 + 9) * 8);
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! `A` is — so `M⁻¹` is a legal CG preconditioner (HPCG's choice).
 //!
 //! Both the sweeps and the preconditioner application are expressed as
-//! solves against two cached [`SparseTriangle`]s, so the level analysis is
-//! paid once at [`SymGs::new`] and every application inherits the bitwise
-//! thread-count independence of [`crate::trsv`]. That construction cost is
-//! the "preconditioner setup" the serving layer caches and amortizes.
+//! solves against two cached [`SparseTriangle`]s, so the level analysis
+//! (and the triangles' level-ordered storage) is paid once at
+//! [`SymGs::new`] and every application inherits the bitwise thread-count
+//! independence of [`crate::trsv`]. That construction cost is the
+//! "preconditioner setup" the serving layer caches and amortizes. An
+//! application runs both solves in place on its output and allocates
+//! nothing.
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
@@ -61,9 +64,16 @@ impl SymGs {
         self.lower.bytes() + self.upper.bytes() + self.diag.len() * std::mem::size_of::<f64>()
     }
 
+    /// Flops of one [`SymGs::apply`]: both triangle solves plus the
+    /// diagonal scale, counted from the stored entries.
+    pub fn apply_flops(&self) -> u64 {
+        self.lower.solve_flops() + self.upper.solve_flops() + self.diag.len() as u64
+    }
+
     /// Apply the preconditioner: `z = M⁻¹·r` with
     /// `M = (D + L)·D⁻¹·(D + U)`, via forward solve, diagonal scale,
-    /// backward solve. Bitwise deterministic at every `threads`.
+    /// backward solve, all in place on `z`. Bitwise deterministic at every
+    /// `threads`.
     pub fn apply(&self, r: &[f64], z: &mut [f64], threads: usize) -> Result<(), SparseError> {
         let n = self.scratch_len;
         if r.len() != n || z.len() != n {
@@ -72,12 +82,11 @@ impl SymGs {
                 got: if r.len() != n { r.len() } else { z.len() },
             });
         }
-        let mut u = vec![0.0f64; n];
-        self.lower.solve(r, &mut u, threads)?;
-        for (ui, d) in u.iter_mut().zip(&self.diag) {
-            *ui *= d;
+        self.lower.solve(r, z, threads)?;
+        for (zi, d) in z.iter_mut().zip(&self.diag) {
+            *zi *= d;
         }
-        self.upper.solve(&u, z, threads)?;
+        self.upper.solve_in_place(z, threads);
         Ok(())
     }
 
@@ -139,12 +148,12 @@ impl SymGs {
         for i in 0..n {
             r[i] = b[i] - r[i];
         }
-        // correction: the triangle solve against the cached schedule
-        let mut dx = vec![0.0f64; n];
+        // correction: the triangle solve against the cached schedule,
+        // in place on the residual
         let tri = if forward { &self.lower } else { &self.upper };
-        tri.solve(&r, &mut dx, threads)?;
+        tri.solve_in_place(&mut r, threads);
         for i in 0..n {
-            x[i] += dx[i];
+            x[i] += r[i];
         }
         Ok(())
     }
