@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use denselin::gemm::{auto_threads, gemm, gemm_parallel, gemm_reference, GemmBlocking};
+use denselin::gemm::{auto_threads, gemm_reference, gemm_with, GemmBlocking, GemmConfig};
 use denselin::lu::lu_blocked;
 use denselin::lu_parallel::lu_parallel_with;
 use denselin::matrix::Matrix;
@@ -61,6 +61,13 @@ fn main() {
         blk.mc, blk.kc, blk.nc
     );
 
+    // serial and `t`-thread runs of the packed GEMM, `C <- A * B`
+    let serial = GemmConfig::serial();
+    let gemm = |c: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize| {
+        let cfg = GemmConfig { threads, ..serial };
+        gemm_with(c, (0, 0), 1.0, a, b, 0.0, &cfg);
+    };
+
     let mut rng = SplitMix64::new(4242);
     let mut entries: Vec<Entry> = Vec::new();
 
@@ -74,11 +81,11 @@ fn main() {
         let t = best_of(reps, || gemm_reference(&mut c, 1.0, &a, &b, 0.0));
         push(&mut entries, "gemm_reference", n, 1, t, flops);
 
-        let t = best_of(reps, || gemm(&mut c, 1.0, &a, &b, 0.0));
+        let t = best_of(reps, || gemm(&mut c, &a, &b, 1));
         push(&mut entries, "gemm_packed", n, 1, t, flops);
 
         if threads > 1 {
-            let t = best_of(reps, || gemm_parallel(&mut c, 1.0, &a, &b, 0.0, threads));
+            let t = best_of(reps, || gemm(&mut c, &a, &b, threads));
             push(&mut entries, "gemm_parallel", n, threads, t, flops);
         }
     }
@@ -96,14 +103,14 @@ fn main() {
         let mut tracer = RankTracer::noop();
 
         // interleave the two variants so frequency/cache drift hits both
-        gemm(&mut c, 1.0, &a, &b, 0.0); // warm-up
+        gemm(&mut c, &a, &b, 1); // warm-up
         let mut t_bare = f64::INFINITY;
         let mut t_traced = f64::INFINITY;
         for _ in 0..reps {
-            t_bare = t_bare.min(best_of(1, || gemm(&mut c, 1.0, &a, &b, 0.0)));
+            t_bare = t_bare.min(best_of(1, || gemm(&mut c, &a, &b, 1)));
             t_traced = t_traced.min(best_of(1, || {
                 let t0 = tracer.begin();
-                gemm(&mut c, 1.0, &a, &b, 0.0);
+                gemm(&mut c, &a, &b, 1);
                 tracer.push_compute("perfsmoke", "gemm", t0);
             }));
         }
@@ -165,7 +172,7 @@ fn main() {
             if t >= threads {
                 continue; // the auto-thread point was measured above
             }
-            let s = best_of(reps, || gemm_parallel(&mut gc, 1.0, &ga, &gb, 0.0, t));
+            let s = best_of(reps, || gemm(&mut gc, &ga, &gb, t));
             push(&mut entries, "gemm_parallel", n, t, s, gemm_flops);
             let s = best_of(reps, || {
                 lu_parallel_with(&a, 64, t).unwrap();

@@ -1,4 +1,4 @@
-//! `tune` — the persistent microkernel/blocking autotuner.
+//! `tune` — the persistent microkernel/blocking tuner.
 //!
 //! Sweeps the generated microkernel variant table
 //! (`denselin::microkernels`) against a `(mc, kc, nc)` blocking grid and
@@ -17,7 +17,7 @@
 //! Gates:
 //! * `--check` — fail unless every supported variant passed parity and
 //!   the persisted winner's throughput is at least the measured heuristic
-//!   baseline (the default kernel under the autotune blocking probe).
+//!   baseline (the default kernel under `GemmBlocking::default()`).
 //! * `--check-reload` — no sweep at all: assert that a *previous* tune run
 //!   persisted a record this process loads back (`TuneSource::Persisted`
 //!   for both blocking and kernel). Run it as a second process after
@@ -29,8 +29,8 @@
 use std::fmt::Write as _;
 
 use denselin::gemm::{
-    default_isa_kernel, gemm_blocked_with, gemm_emulated, microkernels,
-    selected_kernel_with_source, GemmBlocking,
+    default_isa_kernel, gemm_emulated, gemm_with, microkernels, selected_kernel_with_source,
+    GemmBlocking, GemmConfig,
 };
 use denselin::matrix::Matrix;
 use denselin::tune::{
@@ -91,10 +91,10 @@ fn main() {
 
     // ---- heuristic baseline the winner must beat -----------------------
     // The exact configuration a cold process with no tuning file runs:
-    // the fastest-ISA default kernel under the autotune blocking probe,
+    // the fastest-ISA default kernel under `GemmBlocking::default()`,
     // measured with the same discipline at each sweep thread count.
     let base_krn = default_isa_kernel();
-    let base_blk = GemmBlocking::autotuned_heuristic();
+    let base_blk = GemmBlocking::default();
     let heuristic = cfg
         .threads
         .iter()
@@ -227,7 +227,7 @@ fn main() {
 }
 
 /// `--check-reload`: this process must load a previously persisted record
-/// instead of re-sweeping or re-probing.
+/// instead of re-sweeping.
 fn run_reload_check() {
     let (blk, bsrc) = GemmBlocking::tuned_with_source();
     let (krn, ksrc) = selected_kernel_with_source();
@@ -248,7 +248,7 @@ fn run_reload_check() {
         );
         std::process::exit(1);
     }
-    println!("# check-reload OK: persisted record loaded; no re-sweep, no re-probe");
+    println!("# check-reload OK: persisted record loaded; no re-sweep");
 }
 
 /// Bitwise parity status of every registered variant against the scalar
@@ -278,7 +278,12 @@ fn parity_results() -> Vec<(&'static str, &'static str)> {
                 let b = Matrix::random(&mut rng, k, n);
                 let c0 = Matrix::random(&mut rng, m, n);
                 let mut c = c0.clone();
-                gemm_blocked_with(&mut c, -1.5, &a, &b, 0.25, blk, krn);
+                let cfg = GemmConfig {
+                    threads: 1,
+                    blocking: blk,
+                    kernel: krn,
+                };
+                gemm_with(&mut c, (0, 0), -1.5, &a, &b, 0.25, &cfg);
                 let mut e = c0;
                 gemm_emulated(&mut e, -1.5, &a, &b, 0.25, blk.kc, krn.fused);
                 if c.as_slice() != e.as_slice() {

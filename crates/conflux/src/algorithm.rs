@@ -48,8 +48,6 @@ pub struct ConfluxConfig {
     pub bcast: BcastAlgo,
     /// Seed for synthetic pivot selection.
     pub seed: u64,
-    /// Record a full communication trace (see `simnet::network::TraceEvent`).
-    pub trace: bool,
     /// Record a virtual-time event timeline (`simnet::trace::Trace`): every
     /// send/recv/collective-step plus analytic compute regions, for
     /// critical-path analysis and Perfetto export.
@@ -73,7 +71,6 @@ impl ConfluxConfig {
             pivot_strategy: PivotStrategy::Masking,
             bcast: BcastAlgo::Binomial,
             seed: 0x5eed,
-            trace: false,
             timeline: false,
             faults: FaultPlan::none(),
         }
@@ -90,7 +87,6 @@ impl ConfluxConfig {
             pivot_strategy: PivotStrategy::Masking,
             bcast: BcastAlgo::Binomial,
             seed: 0x5eed,
-            trace: false,
             timeline: false,
             faults: FaultPlan::none(),
         }
@@ -158,8 +154,6 @@ pub struct ConfluxRun {
     pub stats: CommStats,
     /// Factors (Dense mode only).
     pub factors: Option<LuFactors>,
-    /// Event trace (only when `config.trace` was set).
-    pub trace: Option<Vec<simnet::network::TraceEvent>>,
     /// Event timeline (only when `config.timeline` was set). Orchestrated
     /// runs record deterministic virtual time; threaded runs record wall
     /// time.
@@ -274,11 +268,7 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
     let p = topo.ranks();
     let nb = n / v;
 
-    let mut net = if cfg.trace {
-        Network::with_trace(p)
-    } else {
-        Network::new(p)
-    };
+    let mut net = Network::new(p);
     net.bcast_algo = cfg.bcast;
     net.faults = cfg.faults.clone();
     if cfg.timeline {
@@ -531,7 +521,6 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
     Ok(ConfluxRun {
         stats: net.stats,
         factors,
-        trace: net.trace,
         timeline,
         retries: 0,
         config: cfg.clone(),

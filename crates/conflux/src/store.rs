@@ -8,6 +8,7 @@
 //! fold deltas into the base before a block column or pivot row is consumed
 //! (steps 1 and 5 of Algorithm 1).
 
+use denselin::gemm::{gemm_with, GemmConfig};
 use denselin::matrix::Matrix;
 use simnet::stats::Rank;
 use simnet::topology::Grid3D;
@@ -208,7 +209,9 @@ impl BlockStore {
         debug_assert_eq!(l_rows.rows(), rows.len());
         debug_assert_eq!(l_rows.cols(), u_panel.rows());
         debug_assert_eq!(u_panel.cols() % v, 0, "panel width must be whole blocks");
-        let prod = denselin::gemm::matmul(l_rows, u_panel);
+        let mut prod = Matrix::zeros(l_rows.rows(), u_panel.cols());
+        let serial = GemmConfig::serial();
+        gemm_with(&mut prod, (0, 0), 1.0, l_rows, u_panel, 0.0, &serial);
         let nb = self.nb;
         let bc_end = (bc_from + u_panel.cols() / v).min(nb);
         for bc in bc_from..bc_end {

@@ -46,7 +46,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use denselin::gemm::{auto_threads, gemm_update};
+use denselin::gemm::{auto_threads, gemm_with, GemmConfig};
 use denselin::matrix::Matrix;
 use denselin::tournament::{local_candidates, lu_no_pivot, playoff_round, Candidates};
 use denselin::trsm::{trsm_lower_left_parallel, trsm_upper_right};
@@ -245,7 +245,8 @@ impl RankStore {
     /// the live rows in slot order and `u` the trailing columns.
     fn schur_update(&mut self, t: usize, l: &Matrix, u: &Matrix) {
         let c0 = self.trailing_col(t);
-        gemm_update(&mut self.delta, self.retired, c0, 1.0, l, u);
+        let at = (self.retired, c0);
+        gemm_with(&mut self.delta, at, 1.0, l, u, 1.0, &GemmConfig::serial());
     }
 }
 
@@ -368,7 +369,6 @@ pub fn try_factorize_threaded(
             Ok(ConfluxRun {
                 stats,
                 factors: Some(factors),
-                trace: None,
                 timeline,
                 retries,
                 config: cfg.clone(),

@@ -4,9 +4,9 @@
 //! workspace. It follows the classic BLIS/GotoBLAS decomposition:
 //!
 //! * the operands are cut into `(mc, kc, nc)` cache blocks
-//!   ([`GemmBlocking`]: persisted per-host tuning via [`crate::tune`],
-//!   else autotuned at first use, overridable via the
-//!   `DENSELIN_GEMM_BLOCK=mc,kc,nc` environment variable),
+//!   ([`GemmBlocking`]: the `DENSELIN_GEMM_BLOCK=mc,kc,nc` environment
+//!   override, else persisted per-host tuning via [`crate::tune`], else
+//!   [`GemmBlocking::default`]),
 //! * `A` blocks are packed into column-major `mr`-row micro-panels and `B`
 //!   blocks into row-major `nr`-column micro-panels of the selected
 //!   microkernel's geometry, so the innermost loop streams both operands
@@ -39,6 +39,11 @@
 //! parity test layer (`tests/microkernels.rs`) pins every table entry to
 //! it exhaustively.
 //!
+//! Every product goes through one configured entry, [`gemm_with`], whose
+//! [`GemmConfig`] carries the thread count, the blocking and the
+//! microkernel, and which accumulates into an offset region of `C` in
+//! place; [`gemm_auto`] is that entry under [`GemmConfig::auto`].
+//!
 //! Parallelism is a work-stealing tile queue: the `(mc, nc)` macro-tiles of
 //! `C` form a shared queue (an atomic counter) drained by the persistent
 //! [`crate::pool`] worker threads (parked between calls, so a blocked
@@ -54,7 +59,8 @@
 //! [`lu_parallel`][mod@crate::lu_parallel] on the factored buffer, and the
 //! blocked sweeps of [`crate::trsm`] on the right-hand sides. They go
 //! through `update_region` (serial) or `parallel_region` (the tile queue),
-//! picked by `update_auto` with [`gemm_auto`]'s volume rule.
+//! picked by `update_with`, the one serial-vs-parallel rule behind
+//! [`gemm_with`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -469,7 +475,7 @@ pub fn force_kernel(name: &str) -> Result<KernelForce, String> {
     Ok(KernelForce { _lock: lock })
 }
 
-/// The microkernel `gemm`/`gemm_parallel` dispatch right now: an active
+/// The microkernel [`GemmConfig::auto`] dispatches right now: an active
 /// [`force_kernel`] guard wins, then the cached default — the
 /// `DENSELIN_GEMM_KERNEL` env override if valid, else the persisted
 /// per-host tuning record, else the fastest supported ISA default.
@@ -516,7 +522,7 @@ pub fn selected_kernel_with_source() -> (&'static Microkernel, crate::tune::Tune
     })
 }
 
-/// Cache-blocking parameters for [`gemm`].
+/// Cache-blocking parameters of the packed GEMM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GemmBlocking {
     /// Rows of `A`/`C` per macro-tile (packed-`A` panel height).
@@ -540,11 +546,10 @@ impl Default for GemmBlocking {
 }
 
 impl GemmBlocking {
-    /// The blocking used by [`gemm`]: the `DENSELIN_GEMM_BLOCK=mc,kc,nc`
+    /// The process-wide blocking: the `DENSELIN_GEMM_BLOCK=mc,kc,nc`
     /// environment override if valid, otherwise the persisted per-host
-    /// tuning record when one exists ([`crate::tune`]), otherwise a
-    /// parameter set autotuned at first use (a one-time ~100 ms probe over
-    /// a small candidate grid). Cached for the process lifetime — the env
+    /// tuning record when one exists ([`crate::tune`]), otherwise
+    /// [`GemmBlocking::default`]. Cached for the process lifetime — the env
     /// override is validated *before* the cache fills, so a malformed
     /// value is reported (once, to stderr) instead of silently latching
     /// the fallback.
@@ -563,25 +568,20 @@ impl GemmBlocking {
                 Ok(None) => {}
                 Err(msg) => eprintln!(
                     "denselin: ignoring invalid DENSELIN_GEMM_BLOCK ({msg}); falling back to \
-                     tuned/heuristic blocking"
+                     tuned/default blocking"
                 ),
             }
             if let Some(rec) = crate::tune::persisted() {
                 return (rec.blocking, crate::tune::TuneSource::Persisted);
             }
-            (Self::autotune(), crate::tune::TuneSource::Heuristic)
+            (Self::default(), crate::tune::TuneSource::Heuristic)
         })
     }
 
-    /// Parse the `DENSELIN_GEMM_BLOCK=mc,kc,nc` override, if present and
-    /// well-formed (three positive comma-separated integers).
-    pub fn from_env() -> Option<Self> {
-        Self::from_env_checked().ok().flatten()
-    }
-
-    /// Like [`Self::from_env`], but distinguishes "unset" (`Ok(None)`)
-    /// from "set but malformed" (`Err` with a description), so callers can
-    /// warn instead of silently ignoring a user's override.
+    /// Parse the `DENSELIN_GEMM_BLOCK=mc,kc,nc` override: `Ok(None)` when
+    /// unset, `Err` with a description when set but not three positive
+    /// comma-separated integers, so callers can warn instead of silently
+    /// ignoring a user's override.
     pub fn from_env_checked() -> Result<Option<Self>, String> {
         let raw = match std::env::var("DENSELIN_GEMM_BLOCK") {
             Ok(raw) => raw,
@@ -597,178 +597,86 @@ impl GemmBlocking {
             )),
         }
     }
+}
 
-    /// The heuristic blocking probe, uncached: what [`Self::tuned`] falls
-    /// back to when nothing is persisted. Public so the `tune` bench bin
-    /// can measure the baseline the persisted winner must beat.
-    pub fn autotuned_heuristic() -> Self {
-        Self::autotune()
-    }
+/// The settings of one [`gemm_with`] call.
+#[derive(Clone, Copy, Debug)]
+pub struct GemmConfig {
+    /// Workers of the process-wide [`crate::pool`] the product may fan out
+    /// over (from a volume of 128³ on); 1 keeps it on the calling thread.
+    pub threads: usize,
+    /// Cache blocking; its `kc` fixes every element's accumulation order.
+    pub blocking: GemmBlocking,
+    /// Microkernel variant; must be [`Microkernel::supported`] here.
+    pub kernel: &'static Microkernel,
+}
 
-    /// One-time probe: time a fixed mid-size multiplication under each
-    /// candidate blocking and keep the fastest. Deterministic inputs; only
-    /// the timing (and hence the chosen blocking) is machine-dependent.
-    fn autotune() -> Self {
-        const CANDIDATES: [GemmBlocking; 6] = [
-            GemmBlocking {
-                mc: 64,
-                kc: 128,
-                nc: 256,
-            },
-            GemmBlocking {
-                mc: 96,
-                kc: 192,
-                nc: 384,
-            },
-            GemmBlocking {
-                mc: 128,
-                kc: 256,
-                nc: 512,
-            },
-            GemmBlocking {
-                mc: 192,
-                kc: 256,
-                nc: 512,
-            },
-            GemmBlocking {
-                mc: 256,
-                kc: 256,
-                nc: 512,
-            },
-            GemmBlocking {
-                mc: 256,
-                kc: 384,
-                nc: 512,
-            },
-        ];
-        const N: usize = 240;
-        let a = Matrix::from_fn(N, N, |i, j| ((i * 7 + j * 3) % 23) as f64 * 0.0625 - 0.6);
-        let b = Matrix::from_fn(N, N, |i, j| ((i * 5 + j * 11) % 19) as f64 * 0.0625 - 0.5);
-        let mut c = Matrix::zeros(N, N);
-        let mut best = GemmBlocking::default();
-        let mut best_t = f64::INFINITY;
-        for cand in CANDIDATES {
-            let mut t = f64::INFINITY;
-            for _ in 0..2 {
-                let start = std::time::Instant::now();
-                gemm_blocked(&mut c, 1.0, &a, &b, 0.0, cand);
-                t = t.min(start.elapsed().as_secs_f64());
-            }
-            if t < best_t {
-                best_t = t;
-                best = cand;
-            }
+impl GemmConfig {
+    /// What [`gemm_auto`] runs: [`auto_threads`] workers, the
+    /// [`GemmBlocking::tuned`] blocking and the [`selected_kernel`], all
+    /// read at the time of the call.
+    pub fn auto() -> Self {
+        Self {
+            threads: auto_threads(),
+            blocking: GemmBlocking::tuned(),
+            kernel: selected_kernel(),
         }
-        best
+    }
+
+    /// [`Self::auto`] on the calling thread alone.
+    pub fn serial() -> Self {
+        Self {
+            threads: 1,
+            ..Self::auto()
+        }
     }
 }
 
-/// `C <- alpha * A * B + beta * C` (serial, packed + register-blocked).
-///
-/// ```
-/// use denselin::{gemm::gemm, matrix::Matrix};
-/// let a = Matrix::identity(3);
-/// let b = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
-/// let mut c = Matrix::zeros(3, 3);
-/// gemm(&mut c, 1.0, &a, &b, 0.0);
-/// assert!(c.allclose(&b, 1e-12));
-/// ```
-///
-/// # Panics
-/// Panics if the shapes are not conformant.
-pub fn gemm(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: f64) {
-    gemm_blocked(c, alpha, a, b, beta, GemmBlocking::tuned());
-}
-
-/// [`gemm`] with explicit blocking parameters. Always takes the packed
-/// register-blocked path (no small-size fallback), so tests can force
-/// awkward blockings through the microkernel.
-pub fn gemm_blocked(
-    c: &mut Matrix,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    blk: GemmBlocking,
-) {
-    gemm_blocked_with(c, alpha, a, b, beta, blk, selected_kernel());
-}
-
-/// [`gemm_blocked`] with an explicit microkernel variant: the tuner's
-/// serial measurement entry and the parity tests' way of pinning every
-/// registered variant without touching the process-wide selection.
-///
-/// # Panics
-/// Panics if the shapes are not conformant or `krn` is unsupported here.
-pub fn gemm_blocked_with(
-    c: &mut Matrix,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    blk: GemmBlocking,
-    krn: &Microkernel,
-) {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "gemm: inner dimensions must match");
-    assert_eq!(c.shape(), (m, n), "gemm: output shape must be (m, n)");
-    assert!(
-        krn.supported(),
-        "microkernel `{}` unsupported here",
-        krn.name
-    );
-
-    scale_in_place(c, beta);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-
-    let cptr = c.as_mut_slice().as_mut_ptr();
-    // SAFETY: cptr points at the live `m x n` buffer of `c`, which this
-    // call borrows exclusively; the views borrow `a`/`b`, not mutated here.
-    unsafe {
-        update_region(
-            cptr,
-            n,
-            alpha,
-            MatView::of(a),
-            MatView::of(b),
-            blk,
-            krn,
-            &mut Vec::new(),
-            &mut Vec::new(),
-        );
-    }
-}
-
-/// `C[r0.., c0..] += alpha * A * B` in place: the `a.rows() x b.cols()`
-/// region of `c` whose top-left corner is `(r0, c0)` accumulates the
-/// product directly, with no temporary for `A * B` (serial, tuned blocking
-/// and selected microkernel, like [`gemm`]).
+/// `C[r0.., c0..] <- alpha * A * B + beta * C[r0.., c0..]` on the
+/// `a.rows() x b.cols()` region of `c` whose top-left corner is `(r0, c0)`,
+/// under `cfg`: the one configured GEMM entry. The product accumulates into
+/// the region in place, with no temporary for `A * B`, and the rest of `c`
+/// is left alone.
 ///
 /// Every element of the region gets one `c += alpha * acc` writeback per
-/// `kc` block of the reduction, so for `k <= kc` the result is bitwise
-/// equal to `matmul(a, b)` scaled by `alpha` and then added element-wise.
+/// `kc` block of the reduction, so the result is bitwise what
+/// [`gemm_emulated`] predicts from `cfg.blocking.kc` and
+/// `cfg.kernel.fused`, at every thread count.
 ///
 /// ```
-/// use denselin::{gemm::gemm_update, matrix::Matrix};
+/// use denselin::{gemm_with, GemmConfig, Matrix};
 /// let mut c = Matrix::zeros(4, 4);
-/// gemm_update(&mut c, 1, 2, 1.0, &Matrix::identity(2), &Matrix::identity(2));
+/// let i2 = Matrix::identity(2);
+/// gemm_with(&mut c, (1, 2), 1.0, &i2, &i2, 0.0, &GemmConfig::serial());
 /// assert_eq!(c[(1, 2)], 1.0);
 /// assert_eq!(c[(2, 3)], 1.0);
 /// ```
 ///
 /// # Panics
-/// Panics if the inner dimensions differ or the region falls outside `c`.
-pub fn gemm_update(c: &mut Matrix, r0: usize, c0: usize, alpha: f64, a: &Matrix, b: &Matrix) {
+/// Panics if the inner dimensions differ, the region falls outside `c`,
+/// or `cfg.kernel` is unsupported here.
+pub fn gemm_with(
+    c: &mut Matrix,
+    (r0, c0): (usize, usize),
+    alpha: f64,
+    a: &Matrix,
+    b: &Matrix,
+    beta: f64,
+    cfg: &GemmConfig,
+) {
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
-    assert_eq!(k, kb, "gemm_update: inner dimensions must match");
+    assert_eq!(k, kb, "gemm: inner dimensions must match");
     assert!(
         r0 + m <= c.rows() && c0 + n <= c.cols(),
-        "gemm_update: region out of bounds"
+        "gemm: region out of bounds"
     );
+    assert!(
+        cfg.kernel.supported(),
+        "microkernel `{}` unsupported here",
+        cfg.kernel.name
+    );
+    scale(c, (r0, c0), (m, n), beta);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -778,17 +686,7 @@ pub fn gemm_update(c: &mut Matrix, r0: usize, c0: usize, alpha: f64, a: &Matrix,
     // (row stride `ldc`) inside `c`, which this call borrows exclusively;
     // the views borrow `a`/`b`, which are not mutated here.
     unsafe {
-        update_region(
-            cptr,
-            ldc,
-            alpha,
-            MatView::of(a),
-            MatView::of(b),
-            GemmBlocking::tuned(),
-            selected_kernel(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-        );
+        update_with(cptr, ldc, alpha, MatView::of(a), MatView::of(b), cfg);
     }
 }
 
@@ -801,7 +699,7 @@ pub fn gemm_reference(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: 
     assert_eq!(k, kb, "gemm: inner dimensions must match");
     assert_eq!(c.shape(), (m, n), "gemm: output shape must be (m, n)");
 
-    scale_in_place(c, beta);
+    scale(c, (0, 0), (m, n), beta);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -829,8 +727,7 @@ pub fn gemm_reference(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: 
 /// block) and on whether the reduction fuses multiply-add — never on the
 /// `(mr, nr)` register tiling or the `(mc, nc)` macro-tiling. Pass the
 /// blocking's `kc` and the variant's `fused` flag; the parity test layer
-/// asserts `gemm_blocked_with` (and the parallel path at every thread
-/// count) matches this bit for bit.
+/// asserts [`gemm_with`] matches this bit for bit at every thread count.
 pub fn gemm_emulated(
     c: &mut Matrix,
     alpha: f64,
@@ -846,7 +743,7 @@ pub fn gemm_emulated(
     assert_eq!(c.shape(), (m, n), "gemm: output shape must be (m, n)");
     assert!(kc > 0, "gemm_emulated: kc must be positive");
 
-    scale_in_place(c, beta);
+    scale(c, (0, 0), (m, n), beta);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -870,118 +767,9 @@ pub fn gemm_emulated(
     }
 }
 
-/// Per-worker tile counts from one [`gemm_parallel_report`] run, used to
-/// assert load balance in tests.
-#[derive(Clone, Debug)]
-pub struct TileQueueReport {
-    /// Total `(mc, nc)` macro-tiles of `C` that were enqueued.
-    pub tiles: usize,
-    /// Tiles drained by each spawned worker (length = workers spawned).
-    pub tiles_per_worker: Vec<usize>,
-}
-
-/// `C <- alpha * A * B + beta * C` with the `(mc, nc)` macro-tiles of `C`
-/// drained from a shared work queue by `threads` workers of the persistent
-/// process-wide [`crate::pool`].
-///
-/// Each tile performs its full `k` reduction in the same `kc`-block order
-/// as the serial path, so the result is bitwise identical to [`gemm`].
-/// Falls back to the serial path for tiny inputs.
-pub fn gemm_parallel(
-    c: &mut Matrix,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    threads: usize,
-) {
-    let _ = gemm_parallel_report(c, alpha, a, b, beta, threads);
-}
-
-/// [`gemm_parallel`], returning the per-worker tile counts.
-pub fn gemm_parallel_report(
-    c: &mut Matrix,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    threads: usize,
-) -> TileQueueReport {
-    gemm_parallel_with(
-        c,
-        alpha,
-        a,
-        b,
-        beta,
-        threads,
-        GemmBlocking::tuned(),
-        selected_kernel(),
-    )
-}
-
-/// [`gemm_parallel_report`] with explicit blocking and microkernel: the
-/// tuner's threaded measurement entry, and how the parity tests pin every
-/// variant at every thread count.
-///
-/// # Panics
-/// Panics if the shapes are not conformant or `krn` is unsupported here.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_parallel_with(
-    c: &mut Matrix,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    threads: usize,
-    blk: GemmBlocking,
-    krn: &Microkernel,
-) -> TileQueueReport {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "gemm: inner dimensions must match");
-    assert_eq!(c.shape(), (m, n), "gemm: output shape must be (m, n)");
-
-    let threads = threads.max(1);
-    if threads == 1 || m * n * k < 64 * 64 * 64 {
-        gemm_blocked_with(c, alpha, a, b, beta, blk, krn);
-        return TileQueueReport {
-            tiles: 1,
-            tiles_per_worker: vec![1],
-        };
-    }
-
-    assert!(
-        krn.supported(),
-        "microkernel `{}` unsupported here",
-        krn.name
-    );
-    scale_in_place(c, beta);
-    if alpha == 0.0 {
-        return TileQueueReport {
-            tiles: 0,
-            tiles_per_worker: Vec::new(),
-        };
-    }
-
-    // SAFETY: the pointer covers the live `m x n` buffer of `c`, which this
-    // call borrows exclusively; the views borrow `a`/`b`, not mutated here.
-    unsafe {
-        parallel_region(
-            c.as_mut_slice().as_mut_ptr(),
-            n,
-            alpha,
-            MatView::of(a),
-            MatView::of(b),
-            blk,
-            krn,
-            threads,
-        )
-    }
-}
-
-/// `C <- alpha * A * B + beta * C`, picking serial vs tile-queue-parallel
-/// automatically: large problems fan out over all available cores
-/// (overridable via `DENSELIN_GEMM_THREADS`), small ones stay serial.
+/// `C <- alpha * A * B + beta * C` under [`GemmConfig::auto`]: large
+/// products fan out over [`auto_threads`] workers, small ones stay serial,
+/// with the same bits either way.
 ///
 /// This is the entry point the blocked factorizations and the distributed
 /// drivers' local updates go through.
@@ -989,42 +777,40 @@ pub fn gemm_parallel_with(
 /// # Panics
 /// Panics if the shapes are not conformant.
 pub fn gemm_auto(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: f64) {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "gemm: inner dimensions must match");
-    assert_eq!(c.shape(), (m, n), "gemm: output shape must be (m, n)");
-    scale_in_place(c, beta);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    // SAFETY: the pointer covers the live `m x n` buffer of `c`, which this
-    // call borrows exclusively; the views borrow `a`/`b`, not mutated here.
-    unsafe {
-        update_auto(
-            c.as_mut_slice().as_mut_ptr(),
-            n,
-            alpha,
-            MatView::of(a),
-            MatView::of(b),
-        );
-    }
+    assert_eq!(a.cols(), b.rows(), "gemm: inner dimensions must match");
+    assert_eq!(
+        c.shape(),
+        (a.rows(), b.cols()),
+        "gemm: output shape must be (m, n)"
+    );
+    gemm_with(c, (0, 0), alpha, a, b, beta, &GemmConfig::auto());
 }
 
-/// `C += alpha * A * B` over the `a.rows() x b.cols()` region at `cptr`,
-/// with the tuned blocking and the selected microkernel: fanned out over
-/// the tile queue ([`parallel_region`]) on [`auto_threads`] workers when the
-/// volume reaches 128³, serial ([`update_region`]) otherwise. The one
-/// serial-vs-parallel rule behind [`gemm_auto`] and the in-place TRSM
-/// sweeps; both routes give the same bits.
+/// Smallest product volume `m·n·k` that a multi-threaded [`GemmConfig`]
+/// fans out over the tile queue; smaller products run serially.
+const PARALLEL_VOLUME: usize = 128 * 128 * 128;
+
+/// `C += alpha * A * B` over the `a.rows() x b.cols()` region at `cptr`
+/// under `cfg`, by the one serial-vs-parallel rule: with more than one
+/// thread and a volume of at least [`PARALLEL_VOLUME`] the macro-tiles are
+/// drained from the tile queue ([`parallel_region`]), otherwise they run
+/// on the calling thread ([`update_region`]). Both routes give the same
+/// bits. Returns the tile queue's per-worker tile counts when it ran.
 ///
 /// # Safety
 /// As [`packed_tile_update`], for the whole region.
-pub(crate) unsafe fn update_auto(cptr: *mut f64, ldc: usize, alpha: f64, a: MatView, b: MatView) {
+pub(crate) unsafe fn update_with(
+    cptr: *mut f64,
+    ldc: usize,
+    alpha: f64,
+    a: MatView,
+    b: MatView,
+    cfg: &GemmConfig,
+) -> Option<Vec<usize>> {
     let (m, k, n) = (a.rows, a.cols, b.cols);
-    let (blk, krn) = (GemmBlocking::tuned(), selected_kernel());
-    let threads = auto_threads();
-    if threads > 1 && m * n * k >= 128 * 128 * 128 {
-        parallel_region(cptr, ldc, alpha, a, b, blk, krn, threads);
+    let (blk, krn, threads) = (cfg.blocking, cfg.kernel, cfg.threads);
+    if threads > 1 && m * n * k >= PARALLEL_VOLUME {
+        Some(parallel_region(cptr, ldc, alpha, a, b, blk, krn, threads))
     } else {
         update_region(
             cptr,
@@ -1037,44 +823,46 @@ pub(crate) unsafe fn update_auto(cptr: *mut f64, ldc: usize, alpha: f64, a: MatV
             &mut Vec::new(),
             &mut Vec::new(),
         );
+        None
     }
 }
 
 /// Thread count used by [`gemm_auto`], [`lu_parallel`][mod@crate::lu_parallel] and the
 /// parallel TRSM paths: the `DENSELIN_THREADS` override if set (the knob CI
-/// pins for deterministic scaling gates), else the legacy
-/// `DENSELIN_GEMM_THREADS` override, else the machine's available
-/// parallelism. Cached per process.
+/// pins for deterministic scaling gates), else the machine's available
+/// parallelism. A value that is not an integer is reported once, to
+/// stderr, and ignored. Cached per process.
 pub fn auto_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
-        for var in ["DENSELIN_THREADS", "DENSELIN_GEMM_THREADS"] {
-            if let Ok(raw) = std::env::var(var) {
-                if let Ok(t) = raw.trim().parse::<usize>() {
-                    return t.max(1);
-                }
+        if let Ok(raw) = std::env::var("DENSELIN_THREADS") {
+            match raw.trim().parse::<usize>() {
+                Ok(t) => return t.max(1),
+                Err(_) => eprintln!(
+                    "denselin: ignoring invalid DENSELIN_THREADS `{raw}` (expected a thread \
+                     count); using the available parallelism"
+                ),
             }
         }
         std::thread::available_parallelism().map_or(1, |p| p.get())
     })
 }
 
-/// Convenience: allocate and return `A * B`.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm(&mut c, 1.0, a, b, 0.0);
-    c
-}
-
-fn scale_in_place(c: &mut Matrix, beta: f64) {
-    if beta == 1.0 {
+/// `C[r0..r0+m, c0..c0+n] *= beta`, with `beta == 0` overwriting (so NaN
+/// garbage in the region never survives).
+fn scale(c: &mut Matrix, (r0, c0): (usize, usize), (m, n): (usize, usize), beta: f64) {
+    if beta == 1.0 || m == 0 || n == 0 {
         return;
     }
-    if beta == 0.0 {
-        c.as_mut_slice().fill(0.0);
-    } else {
-        for x in c.as_mut_slice() {
-            *x *= beta;
+    let ld = c.cols();
+    for row in c.as_mut_slice()[r0 * ld..].chunks_mut(ld).take(m) {
+        let row = &mut row[c0..c0 + n];
+        if beta == 0.0 {
+            row.fill(0.0);
+        } else {
+            for x in row {
+                *x *= beta;
+            }
         }
     }
 }
@@ -1149,8 +937,8 @@ pub(crate) unsafe fn packed_tile_update(
 
 /// `C += alpha * A * B` over the whole `a.rows() x b.cols()` region at
 /// `cptr`, walked in `mc x nc` macro-tiles through [`packed_tile_update`]:
-/// the one serial tile loop behind [`gemm`], [`gemm_update`] and the
-/// trailing updates of [`lu_parallel`][mod@crate::lu_parallel].
+/// the one serial tile loop behind [`gemm_with`] and the trailing updates
+/// of [`lu_parallel`][mod@crate::lu_parallel].
 ///
 /// # Safety
 /// As [`packed_tile_update`], for every tile of the region.
@@ -1179,10 +967,10 @@ pub(crate) unsafe fn update_region(
 /// `C += alpha * A * B` over the whole `a.rows() x b.cols()` region at
 /// `cptr`, with its `(mc, nc)` macro-tiles drained from a shared atomic
 /// counter by `threads` workers of the process-wide [`crate::pool`]: the
-/// one tile queue behind [`gemm_parallel_with`] and [`update_auto`]. Each
-/// tile runs [`packed_tile_update`] with its full `k` reduction, so the
-/// result is bitwise identical to [`update_region`]'s. Returns the
-/// per-worker tile counts.
+/// one tile queue behind [`update_with`]. Each tile runs
+/// [`packed_tile_update`] with its full `k` reduction, so the result is
+/// bitwise identical to [`update_region`]'s. Returns the number of tiles
+/// each worker drained (one entry per worker, never more than the tiles).
 ///
 /// # Safety
 /// As [`packed_tile_update`], for every tile of the region.
@@ -1196,7 +984,7 @@ pub(crate) unsafe fn parallel_region(
     blk: GemmBlocking,
     krn: &Microkernel,
     threads: usize,
-) -> TileQueueReport {
+) -> Vec<usize> {
     let (m, n) = (a.rows, b.cols);
     let ntiles = n.div_ceil(blk.nc);
     let tiles = m.div_ceil(blk.mc) * ntiles;
@@ -1244,10 +1032,7 @@ pub(crate) unsafe fn parallel_region(
         }
     });
 
-    TileQueueReport {
-        tiles,
-        tiles_per_worker: drained.into_iter().map(AtomicUsize::into_inner).collect(),
-    }
+    drained.into_iter().map(AtomicUsize::into_inner).collect()
 }
 
 /// Widest `B` tile, in columns, that skips packing. Every width
@@ -1684,13 +1469,53 @@ mod tests {
         a.matmul(b)
     }
 
+    /// The whole-matrix product `c <- alpha * a * b + beta * c` under `cfg`.
+    fn gemm(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, cfg: &GemmConfig) {
+        gemm_with(c, (0, 0), alpha, a, b, beta, cfg);
+    }
+
+    /// [`GemmConfig::serial`] under an explicit blocking.
+    fn blocked(blocking: GemmBlocking) -> GemmConfig {
+        GemmConfig {
+            blocking,
+            ..GemmConfig::serial()
+        }
+    }
+
+    /// [`GemmConfig::serial`] fanned out over `threads` workers.
+    fn threaded(threads: usize) -> GemmConfig {
+        GemmConfig {
+            threads,
+            ..GemmConfig::serial()
+        }
+    }
+
+    /// Run [`parallel_region`] on all of `c` (already scaled by beta).
+    fn tile_queue(c: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) -> Vec<usize> {
+        let ldc = c.cols();
+        // SAFETY: the pointer covers the live buffer of `c`, borrowed
+        // exclusively; the views borrow `a`/`b`, not mutated here.
+        unsafe {
+            parallel_region(
+                c.as_mut_slice().as_mut_ptr(),
+                ldc,
+                1.0,
+                MatView::of(a),
+                MatView::of(b),
+                GemmBlocking::tuned(),
+                selected_kernel(),
+                threads,
+            )
+        }
+    }
+
     #[test]
     fn gemm_matches_naive_square() {
         let mut rng = SplitMix64::new(10);
         let a = Matrix::random(&mut rng, 33, 33);
         let b = Matrix::random(&mut rng, 33, 33);
         let mut c = Matrix::zeros(33, 33);
-        gemm(&mut c, 1.0, &a, &b, 0.0);
+        gemm(&mut c, 1.0, &a, &b, 0.0, &GemmConfig::serial());
         assert!(c.allclose(&naive(&a, &b), 1e-10));
     }
 
@@ -1700,7 +1525,7 @@ mod tests {
         let a = Matrix::random(&mut rng, 17, 65);
         let b = Matrix::random(&mut rng, 65, 9);
         let mut c = Matrix::zeros(17, 9);
-        gemm(&mut c, 1.0, &a, &b, 0.0);
+        gemm(&mut c, 1.0, &a, &b, 0.0, &GemmConfig::serial());
         assert!(c.allclose(&naive(&a, &b), 1e-10));
     }
 
@@ -1711,7 +1536,7 @@ mod tests {
         let b = Matrix::random(&mut rng, 8, 8);
         let c0 = Matrix::random(&mut rng, 8, 8);
         let mut c = c0.clone();
-        gemm(&mut c, 2.0, &a, &b, -1.0);
+        gemm(&mut c, 2.0, &a, &b, -1.0, &GemmConfig::serial());
         let expect = naive(&a, &b).scale(2.0).sub(&c0);
         assert!(c.allclose(&expect, 1e-10));
     }
@@ -1722,7 +1547,7 @@ mod tests {
         let a = Matrix::random(&mut rng, 5, 5);
         let b = Matrix::random(&mut rng, 5, 5);
         let mut c = Matrix::from_fn(5, 5, |_, _| f64::NAN);
-        gemm(&mut c, 1.0, &a, &b, 0.0);
+        gemm(&mut c, 1.0, &a, &b, 0.0, &GemmConfig::serial());
         assert!(c.allclose(&naive(&a, &b), 1e-10));
     }
 
@@ -1733,8 +1558,25 @@ mod tests {
         let b = Matrix::random(&mut rng, 4, 4);
         let c0 = Matrix::random(&mut rng, 4, 4);
         let mut c = c0.clone();
-        gemm(&mut c, 0.0, &a, &b, 0.5);
+        gemm(&mut c, 0.0, &a, &b, 0.5, &GemmConfig::serial());
         assert!(c.allclose(&c0.scale(0.5), 1e-12));
+    }
+
+    #[test]
+    fn beta_scales_only_the_offset_region() {
+        let mut rng = SplitMix64::new(18);
+        let a = Matrix::random(&mut rng, 3, 4);
+        let b = Matrix::random(&mut rng, 4, 2);
+        let c0 = Matrix::from_fn(7, 6, |_, _| f64::NAN);
+        let mut c = c0.clone();
+        gemm_with(&mut c, (2, 3), 1.0, &a, &b, 0.0, &GemmConfig::serial());
+        for i in 0..7 {
+            for j in 0..6 {
+                let inside = (2..5).contains(&i) && (3..5).contains(&j);
+                assert_eq!(c[(i, j)].is_nan(), !inside, "({i}, {j})");
+            }
+        }
+        assert!(c.block(2, 3, 3, 2).allclose(&naive(&a, &b), 1e-12));
     }
 
     #[test]
@@ -1743,18 +1585,12 @@ mod tests {
         let a = Matrix::random(&mut rng, 23, 31);
         let b = Matrix::random(&mut rng, 31, 19);
         let mut c = Matrix::zeros(23, 19);
-        gemm_blocked(
-            &mut c,
-            1.0,
-            &a,
-            &b,
-            0.0,
-            GemmBlocking {
-                mc: 3,
-                kc: 5,
-                nc: 7,
-            },
-        );
+        let blk = GemmBlocking {
+            mc: 3,
+            kc: 5,
+            nc: 7,
+        };
+        gemm(&mut c, 1.0, &a, &b, 0.0, &blocked(blk));
         assert!(c.allclose(&naive(&a, &b), 1e-10));
     }
 
@@ -1764,13 +1600,14 @@ mod tests {
         // sub-microkernel tiles, exact MR/NR multiples, one-past multiples.
         let sizes = [1usize, 2, 3, 5, 7, 8, 9, 13, 16, 17, 31, 33];
         let mut rng = SplitMix64::new(40);
+        let cfg = blocked(GemmBlocking::default());
         for &m in &sizes {
             for &n in &sizes {
                 for &k in &sizes {
                     let a = Matrix::random(&mut rng, m, k);
                     let b = Matrix::random(&mut rng, k, n);
                     let mut c = Matrix::zeros(m, n);
-                    gemm_blocked(&mut c, 1.0, &a, &b, 0.0, GemmBlocking::default());
+                    gemm(&mut c, 1.0, &a, &b, 0.0, &cfg);
                     assert!(
                         c.allclose(&naive(&a, &b), 1e-10),
                         "packed gemm mismatch at m={m} n={n} k={k}"
@@ -1794,7 +1631,7 @@ mod tests {
             let b = Matrix::random(&mut rng, k, n);
             let c0 = Matrix::random(&mut rng, m, n);
             let mut c = c0.clone();
-            gemm_blocked(&mut c, 1.5, &a, &b, -0.5, GemmBlocking::default());
+            gemm(&mut c, 1.5, &a, &b, -0.5, &blocked(GemmBlocking::default()));
             let mut expect = c0.clone();
             gemm_reference(&mut expect, 1.5, &a, &b, -0.5);
             assert!(c.allclose(&expect, 1e-12), "m={m} n={n} k={k}");
@@ -1806,11 +1643,12 @@ mod tests {
         let mut rng = SplitMix64::new(42);
         let a = Matrix::random(&mut rng, 37, 29);
         let b = Matrix::random(&mut rng, 29, 41);
+        let cfg = blocked(GemmBlocking::default());
         for &alpha in &[0.0, 1.0, -1.0, 2.5] {
             for &beta in &[0.0, 1.0, -1.0, 0.5] {
                 let c0 = Matrix::random(&mut rng, 37, 41);
                 let mut c_packed = c0.clone();
-                gemm_blocked(&mut c_packed, alpha, &a, &b, beta, GemmBlocking::default());
+                gemm(&mut c_packed, alpha, &a, &b, beta, &cfg);
                 let mut c_ref = c0.clone();
                 gemm_reference(&mut c_ref, alpha, &a, &b, beta);
                 assert!(
@@ -1823,33 +1661,35 @@ mod tests {
 
     #[test]
     fn beta_zero_overwrites_nan_in_packed_and_parallel_paths() {
+        // 130³ reaches the tile queue's volume rule.
         let mut rng = SplitMix64::new(43);
-        let a = Matrix::random(&mut rng, 70, 70);
-        let b = Matrix::random(&mut rng, 70, 70);
+        let a = Matrix::random(&mut rng, 130, 130);
+        let b = Matrix::random(&mut rng, 130, 130);
         let expect = naive(&a, &b);
-        let mut c = Matrix::from_fn(70, 70, |_, _| f64::NAN);
-        gemm_blocked(&mut c, 1.0, &a, &b, 0.0, GemmBlocking::default());
+        let mut c = Matrix::from_fn(130, 130, |_, _| f64::NAN);
+        gemm(&mut c, 1.0, &a, &b, 0.0, &blocked(GemmBlocking::default()));
         assert!(c.allclose(&expect, 1e-10));
-        let mut cp = Matrix::from_fn(70, 70, |_, _| f64::INFINITY);
-        gemm_parallel(&mut cp, 1.0, &a, &b, 0.0, 3);
+        let mut cp = Matrix::from_fn(130, 130, |_, _| f64::INFINITY);
+        gemm(&mut cp, 1.0, &a, &b, 0.0, &threaded(3));
         assert!(cp.allclose(&expect, 1e-10));
     }
 
     #[test]
-    fn gemm_parallel_matches_serial() {
+    fn threaded_matches_serial() {
+        // 190 x 90 x 130 reaches the tile queue's volume rule.
         let mut rng = SplitMix64::new(16);
-        let a = Matrix::random(&mut rng, 130, 70);
-        let b = Matrix::random(&mut rng, 70, 90);
-        let c0 = Matrix::random(&mut rng, 130, 90);
+        let a = Matrix::random(&mut rng, 190, 130);
+        let b = Matrix::random(&mut rng, 130, 90);
+        let c0 = Matrix::random(&mut rng, 190, 90);
         let mut c_serial = c0.clone();
-        gemm(&mut c_serial, 1.5, &a, &b, 0.5);
+        gemm(&mut c_serial, 1.5, &a, &b, 0.5, &GemmConfig::serial());
         let mut c_par = c0.clone();
-        gemm_parallel(&mut c_par, 1.5, &a, &b, 0.5, 4);
+        gemm(&mut c_par, 1.5, &a, &b, 0.5, &threaded(4));
         assert!(c_par.allclose(&c_serial, 1e-10));
     }
 
     #[test]
-    fn gemm_parallel_bitwise_identical_to_serial() {
+    fn threaded_bitwise_identical_to_serial() {
         // Tiles reduce in the same kc-block order as the serial loop, so
         // the parallel path must agree bit for bit, not just to tolerance.
         let mut rng = SplitMix64::new(44);
@@ -1857,10 +1697,56 @@ mod tests {
         let b = Matrix::random(&mut rng, 85, 131);
         let c0 = Matrix::random(&mut rng, 193, 131);
         let mut c_serial = c0.clone();
-        gemm(&mut c_serial, -1.25, &a, &b, 0.75);
+        gemm(&mut c_serial, -1.25, &a, &b, 0.75, &GemmConfig::serial());
         let mut c_par = c0.clone();
-        gemm_parallel(&mut c_par, -1.25, &a, &b, 0.75, 5);
+        gemm(&mut c_par, -1.25, &a, &b, 0.75, &threaded(5));
         assert_eq!(c_serial.as_slice(), c_par.as_slice());
+    }
+
+    #[test]
+    fn serial_config_never_enters_the_tile_queue() {
+        // The one serial-vs-parallel rule: the tile queue runs only for
+        // more than one thread at a volume of at least 128³, so every
+        // `GemmConfig::serial()` call site stays on its calling thread.
+        assert_eq!(GemmConfig::serial().threads, 1);
+        let route = |m: usize, k: usize, n: usize, cfg: &GemmConfig| {
+            let a = Matrix::random(&mut SplitMix64::new(m as u64), m, k);
+            let b = Matrix::random(&mut SplitMix64::new(n as u64), k, n);
+            let mut c = Matrix::zeros(m, n);
+            // SAFETY: the pointer covers the live buffer of `c`, borrowed
+            // exclusively; the views borrow `a`/`b`, not mutated here.
+            let drained = unsafe {
+                update_with(
+                    c.as_mut_slice().as_mut_ptr(),
+                    n,
+                    1.0,
+                    MatView::of(&a),
+                    MatView::of(&b),
+                    cfg,
+                )
+            };
+            assert!(c.allclose(&naive(&a, &b), 1e-10));
+            drained
+        };
+        let small = GemmBlocking {
+            mc: 16,
+            kc: 32,
+            nc: 16,
+        };
+        let serial = blocked(small);
+        let threaded = GemmConfig {
+            threads: 3,
+            ..serial
+        };
+        let (m, k, n) = (130, 128, 128);
+        assert_eq!(route(m, k, n, &serial), None);
+        assert_eq!(route(128, 128, 127, &threaded), None, "below 128³");
+        let drained = route(m, k, n, &threaded).expect("128³ with 3 threads fans out");
+        assert_eq!(drained.len(), 3);
+        assert_eq!(
+            drained.iter().sum::<usize>(),
+            m.div_ceil(16) * n.div_ceil(16)
+        );
     }
 
     #[test]
@@ -1877,16 +1763,15 @@ mod tests {
         let a = Matrix::random(&mut rng, m, k);
         let b = Matrix::random(&mut rng, k, n);
         let mut c = Matrix::zeros(m, n);
-        let report = gemm_parallel_report(&mut c, 1.0, &a, &b, 0.0, 4);
+        let drained = tile_queue(&mut c, &a, &b, 4);
         let expect_tiles = m.div_ceil(blk.mc) * n.div_ceil(blk.nc);
-        assert_eq!(report.tiles, expect_tiles);
         assert_eq!(
-            report.tiles_per_worker.iter().sum::<usize>(),
+            drained.iter().sum::<usize>(),
             expect_tiles,
             "every tile must be drained exactly once"
         );
         assert!(
-            report.tiles_per_worker.len() <= expect_tiles.min(4),
+            drained.len() <= expect_tiles.min(4),
             "no idle workers may be spawned"
         );
         // And the result is still right.
@@ -1903,9 +1788,7 @@ mod tests {
         let a = Matrix::random(&mut rng, m, k);
         let b = Matrix::random(&mut rng, k, n);
         let mut c = Matrix::zeros(m, n);
-        let report = gemm_parallel_report(&mut c, 1.0, &a, &b, 0.0, 16);
-        assert_eq!(report.tiles, 1);
-        assert_eq!(report.tiles_per_worker.len(), 1);
+        assert_eq!(tile_queue(&mut c, &a, &b, 16), vec![1]);
     }
 
     #[test]
@@ -1915,7 +1798,7 @@ mod tests {
         let b = Matrix::random(&mut rng, 140, 140);
         let c0 = Matrix::random(&mut rng, 140, 140);
         let mut c1 = c0.clone();
-        gemm(&mut c1, 1.0, &a, &b, 1.0);
+        gemm(&mut c1, 1.0, &a, &b, 1.0, &GemmConfig::serial());
         let mut c2 = c0.clone();
         gemm_auto(&mut c2, 1.0, &a, &b, 1.0);
         assert_eq!(c1.as_slice(), c2.as_slice());
@@ -1923,35 +1806,31 @@ mod tests {
 
     #[test]
     fn blocking_env_parse() {
-        // from_env reads the live environment; exercise the parser via a
-        // guarded set/remove (tests in this binary run in-process).
+        // from_env_checked reads the live environment; exercise the parser
+        // via a guarded set/remove (tests in this binary run in-process).
         std::env::set_var("DENSELIN_GEMM_BLOCK", "32, 64,128");
         assert_eq!(
-            GemmBlocking::from_env(),
-            Some(GemmBlocking {
+            GemmBlocking::from_env_checked(),
+            Ok(Some(GemmBlocking {
                 mc: 32,
                 kc: 64,
                 nc: 128
-            })
+            }))
         );
         // Malformed values must be *reported* (Err), not silently dropped:
         // tuned() warns on this instead of latching the fallback quietly.
         std::env::set_var("DENSELIN_GEMM_BLOCK", "bogus");
-        assert_eq!(GemmBlocking::from_env(), None);
         assert!(GemmBlocking::from_env_checked()
             .unwrap_err()
             .contains("bogus"));
         std::env::set_var("DENSELIN_GEMM_BLOCK", "1,2");
-        assert_eq!(GemmBlocking::from_env(), None);
         assert!(GemmBlocking::from_env_checked().is_err());
         std::env::set_var("DENSELIN_GEMM_BLOCK", "0,2,3");
-        assert_eq!(GemmBlocking::from_env(), None);
         assert!(GemmBlocking::from_env_checked().is_err());
         std::env::set_var("DENSELIN_GEMM_BLOCK", "1,2,3,4");
         assert!(GemmBlocking::from_env_checked().is_err());
         // Unset is Ok(None), not an error.
         std::env::remove_var("DENSELIN_GEMM_BLOCK");
-        assert_eq!(GemmBlocking::from_env(), None);
         assert_eq!(GemmBlocking::from_env_checked(), Ok(None));
     }
 
@@ -2000,7 +1879,12 @@ mod tests {
         };
         for krn in microkernels().iter().filter(|k| k.supported()) {
             let mut c = c0.clone();
-            gemm_blocked_with(&mut c, -1.5, &a, &b, 0.25, blk, krn);
+            let cfg = GemmConfig {
+                threads: 1,
+                blocking: blk,
+                kernel: krn,
+            };
+            gemm(&mut c, -1.5, &a, &b, 0.25, &cfg);
             let mut e = c0.clone();
             gemm_emulated(&mut e, -1.5, &a, &b, 0.25, blk.kc, krn.fused);
             assert_eq!(c.as_slice(), e.as_slice(), "kernel {}", krn.name);
@@ -2028,15 +1912,17 @@ mod tests {
         let a = Matrix::zeros(0, 3);
         let b = Matrix::zeros(3, 4);
         let mut c = Matrix::zeros(0, 4);
-        gemm(&mut c, 1.0, &a, &b, 0.0);
+        gemm(&mut c, 1.0, &a, &b, 0.0, &GemmConfig::serial());
         assert!(c.is_empty());
     }
 
     #[test]
-    fn matmul_convenience() {
+    fn identity_times_b_is_b() {
         let a = Matrix::identity(6);
         let mut rng = SplitMix64::new(17);
         let b = Matrix::random(&mut rng, 6, 6);
-        assert!(matmul(&a, &b).allclose(&b, 1e-12));
+        let mut c = Matrix::zeros(6, 6);
+        gemm(&mut c, 1.0, &a, &b, 0.0, &GemmConfig::serial());
+        assert!(c.allclose(&b, 1e-12));
     }
 }

@@ -58,9 +58,8 @@ pub use blockcyclic::{BlockCyclic1D, BlockCyclic2D};
 pub use cholesky::{cholesky_blocked, cholesky_unblocked, NotPositiveDefinite};
 pub use condition::{condition_estimate, one_norm};
 pub use gemm::{
-    auto_threads, default_isa_kernel, force_kernel, gemm, gemm_auto, gemm_blocked,
-    gemm_blocked_with, gemm_emulated, gemm_parallel, gemm_update, matmul, microkernels,
-    selected_kernel, GemmBlocking, Microkernel,
+    auto_threads, default_isa_kernel, force_kernel, gemm_auto, gemm_emulated, gemm_with,
+    microkernels, selected_kernel, GemmBlocking, GemmConfig, Microkernel,
 };
 pub use lu::{lu_blocked, lu_unblocked, LuFactorization, SingularMatrix};
 pub use lu_parallel::{lu_parallel, lu_parallel_with};

@@ -3,9 +3,9 @@
 //! The pool spawns its helper threads once per process, parks them on a
 //! condvar between jobs, and hands out *jobs* — a closure run once per
 //! worker index — so a factorization-sized pipeline pays one wakeup per
-//! phase instead of one thread spawn (~50 µs each) per
-//! [`gemm_parallel`](crate::gemm::gemm_parallel) call on the critical path
-//! of every trailing update.
+//! phase instead of one thread spawn (~50 µs each) per threaded
+//! [`gemm_with`](crate::gemm::gemm_with) call on the critical path of
+//! every trailing update.
 //!
 //! Design constraints, in order:
 //!

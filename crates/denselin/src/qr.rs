@@ -7,8 +7,15 @@
 //! playoff tree tournament pivoting uses — `local_qr` per owner, pairwise
 //! `stack two R factors and re-factor` merges up the tree.
 
-use crate::gemm::matmul;
+use crate::gemm::{gemm_with, GemmConfig};
 use crate::matrix::Matrix;
+
+/// `A·B` through the serial packed GEMM.
+fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    gemm_with(&mut c, (0, 0), 1.0, a, b, 0.0, &GemmConfig::serial());
+    c
+}
 
 /// Result of a QR factorization `A = Q·R`.
 #[derive(Clone, Debug)]

@@ -6,7 +6,7 @@
 //! pivoting schemes (tournament pivoting trades a bounded stability factor
 //! for latency, and refinement buys it back).
 
-use crate::gemm::gemm;
+use crate::gemm::{gemm_with, GemmConfig};
 use crate::lu::LuFactorization;
 use crate::matrix::Matrix;
 
@@ -53,7 +53,7 @@ pub fn solve_refined(
 
     let residual = |x: &Matrix| -> (Matrix, f64) {
         let mut r = b.clone();
-        gemm(&mut r, -1.0, a, x, 1.0); // r = b - A x
+        gemm_with(&mut r, (0, 0), -1.0, a, x, 1.0, &GemmConfig::serial()); // r = b - A x
         let norm = r.frobenius_norm() / bnorm;
         (r, norm)
     };

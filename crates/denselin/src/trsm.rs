@@ -32,7 +32,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::gemm::{update_auto, MatView};
+use crate::gemm::{update_with, GemmConfig, MatView};
 use crate::matrix::Matrix;
 use crate::pool;
 
@@ -190,7 +190,14 @@ impl Rhs {
     /// The `a.rows() x b.cols()` block at `(r0, c0)` must lie in the region
     /// and be disjoint from everything `a` and `b` view.
     unsafe fn update(&self, r0: usize, c0: usize, a: MatView, b: MatView) {
-        update_auto(self.ptr.add(r0 * self.ld + c0), self.ld, -1.0, a, b);
+        update_with(
+            self.ptr.add(r0 * self.ld + c0),
+            self.ld,
+            -1.0,
+            a,
+            b,
+            &GemmConfig::auto(),
+        );
     }
 }
 
@@ -381,7 +388,6 @@ unsafe fn lower_right_unblocked(b: Rhs, l: &Matrix, unit_diag: bool, lo: usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::matmul;
     use crate::SplitMix64;
 
     fn random_lower(rng: &mut SplitMix64, n: usize) -> Matrix {
@@ -406,7 +412,7 @@ mod tests {
         for n in [1, 2, 7, 60, 129] {
             let l = random_lower(&mut rng, n);
             let x = Matrix::random(&mut rng, n, 3);
-            let mut b = matmul(&l, &x);
+            let mut b = l.matmul(&x);
             trsm_lower_left(&l, &mut b, false);
             assert!(b.allclose(&x, 1e-8), "n={n}");
         }
@@ -423,7 +429,7 @@ mod tests {
             lu[(i, i)] = 1.0;
         }
         let x = Matrix::random(&mut rng, n, 2);
-        let mut b = matmul(&lu, &x);
+        let mut b = lu.matmul(&x);
         for i in 0..n {
             l[(i, i)] = 1234.5; // poison stored diagonal
         }
@@ -437,7 +443,7 @@ mod tests {
         for n in [1, 3, 50, 140] {
             let u = random_upper(&mut rng, n);
             let x = Matrix::random(&mut rng, n, 4);
-            let mut b = matmul(&u, &x);
+            let mut b = u.matmul(&x);
             trsm_upper_left(&u, &mut b, false);
             assert!(b.allclose(&x, 1e-7), "n={n}");
         }
@@ -449,7 +455,7 @@ mod tests {
         for n in [1, 5, 49, 130] {
             let u = random_upper(&mut rng, n);
             let x = Matrix::random(&mut rng, 6, n);
-            let mut b = matmul(&x, &u);
+            let mut b = x.matmul(&u);
             trsm_upper_right(&mut b, &u, false);
             assert!(b.allclose(&x, 1e-7), "n={n}");
         }
@@ -461,7 +467,7 @@ mod tests {
         for n in [1, 4, 55, 101] {
             let l = random_lower(&mut rng, n);
             let x = Matrix::random(&mut rng, 5, n);
-            let mut b = matmul(&x, &l);
+            let mut b = x.matmul(&l);
             trsm_lower_right(&mut b, &l, false);
             assert!(b.allclose(&x, 1e-7), "n={n}");
         }
@@ -477,7 +483,7 @@ mod tests {
             uu[(i, i)] = 1.0;
         }
         let x = Matrix::random(&mut rng, 3, n);
-        let mut b = matmul(&x, &uu);
+        let mut b = x.matmul(&uu);
         for i in 0..n {
             u[(i, i)] = -7.0;
         }

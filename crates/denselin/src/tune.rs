@@ -29,7 +29,7 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use crate::gemm::{gemm_parallel_with, microkernels, GemmBlocking, Microkernel};
+use crate::gemm::{gemm_with, microkernels, GemmBlocking, GemmConfig, Microkernel};
 use crate::matrix::Matrix;
 
 /// Where a blocking or kernel decision came from, in consultation order.
@@ -41,7 +41,7 @@ pub enum TuneSource {
     EnvOverride,
     /// The per-host record in the persisted tuning file.
     Persisted,
-    /// The built-in fallback: the first-use blocking probe or the fastest
+    /// The built-in fallback: [`GemmBlocking::default`] or the fastest
     /// supported ISA default kernel.
     Heuristic,
 }
@@ -512,19 +512,24 @@ pub fn measure_gflops(
     warmup: usize,
     reps: usize,
     blk: GemmBlocking,
-    krn: &Microkernel,
+    krn: &'static Microkernel,
     threads: usize,
 ) -> f64 {
     let a = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 3) % 23) as f64 * 0.0625 - 0.6);
     let b = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 11) % 19) as f64 * 0.0625 - 0.5);
     let mut c = Matrix::zeros(n, n);
+    let cfg = GemmConfig {
+        threads,
+        blocking: blk,
+        kernel: krn,
+    };
     for _ in 0..warmup {
-        gemm_parallel_with(&mut c, 1.0, &a, &b, 0.0, threads, blk, krn);
+        gemm_with(&mut c, (0, 0), 1.0, &a, &b, 0.0, &cfg);
     }
     let mut times = Vec::with_capacity(reps.max(1));
     for _ in 0..reps.max(1) {
         let start = std::time::Instant::now();
-        gemm_parallel_with(&mut c, 1.0, &a, &b, 0.0, threads, blk, krn);
+        gemm_with(&mut c, (0, 0), 1.0, &a, &b, 0.0, &cfg);
         times.push(start.elapsed().as_secs_f64());
     }
     times.sort_by(f64::total_cmp);

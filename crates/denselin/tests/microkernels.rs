@@ -7,15 +7,24 @@
 //! variant fails `variant_table_covers_expected_family`.
 //!
 //! Tests that force the process-wide selection serialize through the
-//! [`denselin::force_kernel`] guard's internal lock; the rest use the
-//! explicit-kernel entry points and touch no global state.
+//! [`denselin::force_kernel`] guard's internal lock; the rest pin the
+//! kernel in an explicit [`GemmConfig`] and touch no global state.
 
-use denselin::gemm::{gemm_parallel_with, selected_kernel};
+use denselin::gemm::selected_kernel;
 use denselin::SplitMix64;
 use denselin::{
-    force_kernel, gemm, gemm_blocked_with, gemm_emulated, gemm_update, lu_blocked,
-    lu_parallel_with, microkernels, GemmBlocking, Matrix,
+    force_kernel, gemm_auto, gemm_emulated, gemm_with, lu_blocked, lu_parallel_with, microkernels,
+    GemmBlocking, GemmConfig, Matrix, Microkernel,
 };
+
+/// The configuration pinning all three settings.
+fn config(threads: usize, blocking: GemmBlocking, kernel: &'static Microkernel) -> GemmConfig {
+    GemmConfig {
+        threads,
+        blocking,
+        kernel,
+    }
+}
 
 /// Shape triples `(m, n, k)` stressing every fringe case of every
 /// registered (mr, nr): below-tile, exact-tile, one-past-tile for
@@ -130,7 +139,7 @@ fn every_variant_matches_emulator_bitwise_serial() {
             for blk in blockings() {
                 for &(alpha, beta) in &[(1.0, 0.0), (-1.5, 0.25), (2.0, 1.0), (0.0, 0.5)] {
                     let mut c = c0.clone();
-                    gemm_blocked_with(&mut c, alpha, &a, &b, beta, blk, krn);
+                    gemm_with(&mut c, (0, 0), alpha, &a, &b, beta, &config(1, blk, krn));
                     let mut e = c0.clone();
                     gemm_emulated(&mut e, alpha, &a, &b, beta, blk.kc, krn.fused);
                     assert_eq!(
@@ -165,7 +174,7 @@ fn every_variant_overwrites_nan_under_beta_zero() {
                 kc: 3,
                 nc: 7,
             };
-            gemm_blocked_with(&mut c, 1.0, &a, &b, 0.0, blk, krn);
+            gemm_with(&mut c, (0, 0), 1.0, &a, &b, 0.0, &config(1, blk, krn));
             assert!(
                 c.as_slice().iter().all(|v| v.is_finite()),
                 "kernel {}: beta=0 must overwrite NaN garbage",
@@ -181,8 +190,9 @@ fn every_variant_overwrites_nan_under_beta_zero() {
 #[test]
 fn every_variant_matches_emulator_bitwise_at_every_thread_count() {
     let mut rng = SplitMix64::new(0x7EAD);
-    // Big enough that the tile queue actually fans out under the small blk.
-    let (m, n, k) = (67, 83, 45);
+    // Past the 128³ volume from which the tile queue fans out, with
+    // fringe tiles in both dimensions under the small blk.
+    let (m, n, k) = (131, 131, 123);
     let a = Matrix::random(&mut rng, m, k);
     let b = Matrix::random(&mut rng, k, n);
     let c0 = Matrix::random(&mut rng, m, n);
@@ -199,7 +209,8 @@ fn every_variant_matches_emulator_bitwise_at_every_thread_count() {
         gemm_emulated(&mut expect, -1.25, &a, &b, 0.75, blk.kc, krn.fused);
         for threads in 1..=8 {
             let mut c = c0.clone();
-            gemm_parallel_with(&mut c, -1.25, &a, &b, 0.75, threads, blk, krn);
+            let cfg = config(threads, blk, krn);
+            gemm_with(&mut c, (0, 0), -1.25, &a, &b, 0.75, &cfg);
             assert_eq!(
                 c.as_slice(),
                 expect.as_slice(),
@@ -224,13 +235,17 @@ fn forcing_each_variant_routes_public_gemm_and_stays_bitwise() {
         }
         let guard = force_kernel(krn.name).expect("supported variant must force");
         assert_eq!(selected_kernel().name, krn.name);
-        // The public dispatch path under the force must equal the
+        // The public dispatch paths under the force must equal the
         // explicit-kernel path bit for bit (same tuned blocking).
-        let mut c_pub = c0.clone();
-        gemm(&mut c_pub, 1.5, &a, &b, -0.5);
         let mut c_exp = c0.clone();
-        gemm_blocked_with(&mut c_exp, 1.5, &a, &b, -0.5, GemmBlocking::tuned(), krn);
+        let cfg = config(1, GemmBlocking::tuned(), krn);
+        gemm_with(&mut c_exp, (0, 0), 1.5, &a, &b, -0.5, &cfg);
+        let mut c_pub = c0.clone();
+        gemm_with(&mut c_pub, (0, 0), 1.5, &a, &b, -0.5, &GemmConfig::serial());
         assert_eq!(c_pub.as_slice(), c_exp.as_slice(), "kernel {}", krn.name);
+        let mut c_auto = c0.clone();
+        gemm_auto(&mut c_auto, 1.5, &a, &b, -0.5);
+        assert_eq!(c_auto.as_slice(), c_exp.as_slice(), "kernel {}", krn.name);
         drop(guard);
     }
 }
@@ -257,7 +272,7 @@ fn forcing_each_variant_keeps_lu_parallel_bitwise_serial() {
 }
 
 #[test]
-fn forcing_each_variant_keeps_gemm_update_bitwise_product_then_add() {
+fn forcing_each_variant_keeps_offset_update_bitwise_product_then_add() {
     // In-place accumulation into an offset region: every element gets one
     // `c + alpha*acc` writeback per kc block, which is the emulator run on
     // the region with beta = 1. With k <= kc that is one writeback, exactly
@@ -277,7 +292,8 @@ fn forcing_each_variant_keeps_gemm_update_bitwise_product_then_add() {
                     let b = Matrix::random(&mut rng, k, n);
                     let c = Matrix::random(&mut rng, r0 + m + 2, c0 + n + 3);
                     let mut got = c.clone();
-                    gemm_update(&mut got, r0, c0, alpha, &a, &b);
+                    let serial = GemmConfig::serial();
+                    gemm_with(&mut got, (r0, c0), alpha, &a, &b, 1.0, &serial);
                     let what = format!(
                         "kernel {} shape ({m},{n},{k}) at ({r0},{c0}) alpha {alpha}",
                         krn.name
@@ -289,7 +305,7 @@ fn forcing_each_variant_keeps_gemm_update_bitwise_product_then_add() {
                     assert_eq!(got.as_slice(), want.as_slice(), "{what} vs emulator");
                     if k <= kc {
                         let mut prod = Matrix::zeros(m, n);
-                        gemm(&mut prod, alpha, &a, &b, 0.0);
+                        gemm_with(&mut prod, (0, 0), alpha, &a, &b, 0.0, &serial);
                         let mut want = c.clone();
                         want.add_block(r0, c0, &prod);
                         assert_eq!(got.as_slice(), want.as_slice(), "{what}");
@@ -303,9 +319,9 @@ fn forcing_each_variant_keeps_gemm_update_bitwise_product_then_add() {
 
 #[test]
 #[should_panic(expected = "region out of bounds")]
-fn gemm_update_rejects_region_past_the_edge() {
+fn offset_region_past_the_edge_is_rejected() {
     let mut c = Matrix::zeros(6, 6);
     let a = Matrix::zeros(3, 2);
     let b = Matrix::zeros(2, 4);
-    gemm_update(&mut c, 4, 1, 1.0, &a, &b);
+    gemm_with(&mut c, (4, 1), 1.0, &a, &b, 1.0, &GemmConfig::serial());
 }

@@ -3,8 +3,7 @@
 
 use denselin::cholesky::{cholesky_blocked, cholesky_residual, random_spd};
 use denselin::gemm::{
-    force_kernel, gemm, gemm_blocked, gemm_blocked_with, gemm_emulated, gemm_parallel,
-    gemm_parallel_with, gemm_reference, matmul, microkernels, GemmBlocking,
+    force_kernel, gemm_emulated, gemm_reference, gemm_with, microkernels, GemmBlocking, GemmConfig,
 };
 use denselin::lu::{lu_blocked, lu_unblocked};
 use denselin::lu_parallel::lu_parallel_with;
@@ -18,6 +17,24 @@ use denselin::SplitMix64;
 #[path = "support/cases.rs"]
 mod cases;
 use cases::{check, pick};
+
+/// `c <- alpha * a * b + beta * c` under `cfg`.
+fn gemm(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, cfg: &GemmConfig) {
+    gemm_with(c, (0, 0), alpha, a, b, beta, cfg);
+}
+
+/// `a * b` through the serial packed GEMM.
+fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    gemm(&mut c, 1.0, a, b, 0.0, &GemmConfig::serial());
+    c
+}
+
+/// Smallest reduction length that takes an `m x n` product to the 128³
+/// volume from which a multi-threaded [`GemmConfig`] fans out.
+fn fan_out_k(m: usize, n: usize) -> usize {
+    (128 * 128 * 128usize).div_ceil(m * n)
+}
 
 fn rand_matrix(seed: u64, r: usize, c: usize) -> Matrix {
     let mut rng = SplitMix64::new(seed);
@@ -48,9 +65,9 @@ fn gemm_is_linear_in_alpha() {
             let a = rand_matrix(seed, n, n);
             let b = rand_matrix(seed ^ 1, n, n);
             let mut c1 = Matrix::zeros(n, n);
-            gemm(&mut c1, 2.0, &a, &b, 0.0);
+            gemm(&mut c1, 2.0, &a, &b, 0.0, &GemmConfig::serial());
             let mut c2 = Matrix::zeros(n, n);
-            gemm(&mut c2, 1.0, &a, &b, 0.0);
+            gemm(&mut c2, 1.0, &a, &b, 0.0, &GemmConfig::serial());
             assert!(c1.allclose(&c2.scale(2.0), 1e-10));
         },
     );
@@ -123,7 +140,7 @@ fn packed_gemm_matches_reference() {
             let b = rand_matrix(seed ^ 5, k, n);
             let c0 = rand_matrix(seed ^ 6, m, n);
             let mut packed = c0.clone();
-            gemm(&mut packed, alpha, &a, &b, beta);
+            gemm(&mut packed, alpha, &a, &b, beta, &GemmConfig::serial());
             let mut reference = c0.clone();
             gemm_reference(&mut reference, alpha, &a, &b, beta);
             assert!(packed.allclose(&reference, 1e-10));
@@ -152,9 +169,13 @@ fn awkward_blockings_agree() {
             let a = rand_matrix(seed, n, n);
             let b = rand_matrix(seed ^ 7, n, n);
             let mut def = Matrix::zeros(n, n);
-            gemm(&mut def, 1.0, &a, &b, 0.0);
+            gemm(&mut def, 1.0, &a, &b, 0.0, &GemmConfig::serial());
             let mut odd = Matrix::zeros(n, n);
-            gemm_blocked(&mut odd, 1.0, &a, &b, 0.0, GemmBlocking { mc, kc, nc });
+            let cfg = GemmConfig {
+                blocking: GemmBlocking { mc, kc, nc },
+                ..GemmConfig::serial()
+            };
+            gemm(&mut odd, 1.0, &a, &b, 0.0, &cfg);
             assert!(odd.allclose(&def, 1e-11));
         },
     );
@@ -168,8 +189,8 @@ fn parallel_tile_queue_is_bitwise_serial() {
         |r| {
             (
                 pick(r, 0..500) as u64,
-                pick(r, 1..48),
-                pick(r, 1..48),
+                pick(r, 1..300),
+                pick(r, 1..300),
                 pick(r, 1..6),
             )
         },
@@ -177,13 +198,17 @@ fn parallel_tile_queue_is_bitwise_serial() {
         |&(seed, m, n, threads)| {
             // the tile queue must not change the reduction order: results
             // are bitwise identical to the serial path, not merely close
-            let k = 17;
+            let k = fan_out_k(m, n);
             let a = rand_matrix(seed, m, k);
             let b = rand_matrix(seed ^ 8, k, n);
             let mut serial = Matrix::zeros(m, n);
-            gemm(&mut serial, 1.0, &a, &b, 0.0);
+            gemm(&mut serial, 1.0, &a, &b, 0.0, &GemmConfig::serial());
             let mut parallel = Matrix::zeros(m, n);
-            gemm_parallel(&mut parallel, 1.0, &a, &b, 0.0, threads);
+            let cfg = GemmConfig {
+                threads,
+                ..GemmConfig::serial()
+            };
+            gemm(&mut parallel, 1.0, &a, &b, 0.0, &cfg);
             assert_eq!(serial.as_slice(), parallel.as_slice());
         },
     );
@@ -219,7 +244,12 @@ fn any_variant_any_shape_matches_emulator_bitwise() {
             let c0 = rand_matrix(seed ^ 11, m, n);
             let blk = GemmBlocking { mc: 16, kc, nc: 24 };
             let mut got = c0.clone();
-            gemm_blocked_with(&mut got, alpha, &a, &b, beta, blk, krn);
+            let cfg = GemmConfig {
+                threads: 1,
+                blocking: blk,
+                kernel: krn,
+            };
+            gemm(&mut got, alpha, &a, &b, beta, &cfg);
             let mut want = c0;
             gemm_emulated(&mut want, alpha, &a, &b, beta, kc, krn.fused);
             assert_eq!(got.as_slice(), want.as_slice());
@@ -247,7 +277,7 @@ fn any_variant_parallel_is_bitwise_serial() {
             // geometry, not just the default (mr, nr)
             let supported: Vec<_> = microkernels().iter().filter(|v| v.supported()).collect();
             let krn = supported[kpick % supported.len()];
-            let k = 13;
+            let k = fan_out_k(m, n);
             let a = rand_matrix(seed, m, k);
             let b = rand_matrix(seed ^ 12, k, n);
             let blk = GemmBlocking {
@@ -256,9 +286,21 @@ fn any_variant_parallel_is_bitwise_serial() {
                 nc: 16,
             };
             let mut serial = Matrix::zeros(m, n);
-            gemm_blocked_with(&mut serial, 1.0, &a, &b, 0.0, blk, krn);
+            let cfg = GemmConfig {
+                threads: 1,
+                blocking: blk,
+                kernel: krn,
+            };
+            gemm(&mut serial, 1.0, &a, &b, 0.0, &cfg);
             let mut parallel = Matrix::zeros(m, n);
-            gemm_parallel_with(&mut parallel, 1.0, &a, &b, 0.0, threads, blk, krn);
+            gemm(
+                &mut parallel,
+                1.0,
+                &a,
+                &b,
+                0.0,
+                &GemmConfig { threads, ..cfg },
+            );
             assert_eq!(serial.as_slice(), parallel.as_slice());
         },
     );
@@ -276,7 +318,7 @@ fn beta_zero_ignores_prior_contents() {
             let a = rand_matrix(seed, n, n);
             let b = rand_matrix(seed ^ 9, n, n);
             let mut c = Matrix::from_fn(n, n, |_, _| f64::NAN);
-            gemm(&mut c, 1.0, &a, &b, 0.0);
+            gemm(&mut c, 1.0, &a, &b, 0.0, &GemmConfig::serial());
             assert!(c.as_slice().iter().all(|x| x.is_finite()));
             assert!(c.allclose(&matmul(&a, &b), 1e-12));
         },

@@ -7,7 +7,7 @@
 use denselin::gemm::{selected_kernel, selected_kernel_with_source, GemmBlocking};
 use denselin::tune::{persisted, TuneSource};
 use denselin::SplitMix64;
-use denselin::{gemm, gemm_emulated, Matrix};
+use denselin::{gemm_emulated, gemm_with, GemmConfig, Matrix};
 
 #[test]
 fn corrupt_file_and_invalid_block_env_fall_back_to_heuristics() {
@@ -33,7 +33,7 @@ fn corrupt_file_and_invalid_block_env_fall_back_to_heuristics() {
 
     let (blk, src) = GemmBlocking::tuned_with_source();
     assert_eq!(src, TuneSource::Heuristic);
-    assert!(blk.mc > 0 && blk.kc > 0 && blk.nc > 0);
+    assert_eq!(blk, GemmBlocking::default());
 
     let (krn, ksrc) = selected_kernel_with_source();
     assert_eq!(ksrc, TuneSource::Heuristic);
@@ -46,7 +46,7 @@ fn corrupt_file_and_invalid_block_env_fall_back_to_heuristics() {
     let b = Matrix::random(&mut rng, 11, 23);
     let c0 = Matrix::random(&mut rng, 19, 23);
     let mut c = c0.clone();
-    gemm(&mut c, 1.25, &a, &b, -0.5);
+    gemm_with(&mut c, (0, 0), 1.25, &a, &b, -0.5, &GemmConfig::serial());
     let mut e = c0.clone();
     gemm_emulated(&mut e, 1.25, &a, &b, -0.5, blk.kc, selected_kernel().fused);
     assert_eq!(c.as_slice(), e.as_slice());

@@ -26,33 +26,6 @@ pub enum BcastAlgo {
     Flat,
 }
 
-/// One recorded communication event (when tracing is enabled).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A point-to-point message.
-    P2p {
-        /// Phase tag.
-        phase: &'static str,
-        /// Sender.
-        src: Rank,
-        /// Receiver.
-        dst: Rank,
-        /// Elements moved.
-        elems: u64,
-    },
-    /// A collective operation over a group.
-    Collective {
-        /// Phase tag.
-        phase: &'static str,
-        /// Operation name (`"broadcast"`, `"reduce"`, ...).
-        op: &'static str,
-        /// Participating ranks (root first where applicable).
-        group: Vec<Rank>,
-        /// Per-message element count of the operation.
-        elems: u64,
-    },
-}
-
 /// Counted network connecting `p` simulated ranks.
 #[derive(Clone, Debug)]
 pub struct Network {
@@ -60,8 +33,6 @@ pub struct Network {
     pub stats: CommStats,
     /// Broadcast algorithm used by [`Network::broadcast`].
     pub bcast_algo: BcastAlgo,
-    /// Event trace (`None` = disabled; enable with [`Network::with_trace`]).
-    pub trace: Option<Vec<TraceEvent>>,
     /// Fault schedule consulted when charging point-to-point traffic: a
     /// dropped transmission is charged to the sender again (the retransmit)
     /// and a duplicated one to both sides, exactly as the threaded backend
@@ -72,9 +43,9 @@ pub struct Network {
     /// with the same keys.
     p2p_seqs: HashMap<(Rank, Rank), u64>,
     /// Timestamped event recorder ([`Tracer::noop`] by default; enable with
-    /// [`Network::with_timeline`] or [`Network::enable_timeline`]). Unlike
-    /// the legacy [`Network::trace`] event list, the tracer advances
-    /// per-rank virtual clocks and feeds the critical-path analyzer.
+    /// [`Network::with_timeline`] or [`Network::enable_timeline`]): it
+    /// advances per-rank virtual clocks and feeds the critical-path
+    /// analyzer.
     pub tracer: Tracer,
 }
 
@@ -84,18 +55,10 @@ impl Network {
         Self {
             stats: CommStats::new(p),
             bcast_algo: BcastAlgo::Binomial,
-            trace: None,
             faults: FaultPlan::none(),
             p2p_seqs: HashMap::new(),
             tracer: Tracer::noop(),
         }
-    }
-
-    /// A network that records every event (for step traces like Fig. 5).
-    pub fn with_trace(p: usize) -> Self {
-        let mut net = Self::new(p);
-        net.trace = Some(Vec::new());
-        net
     }
 
     /// A network that charges retransmission/duplication overheads for
@@ -145,25 +108,6 @@ impl Network {
         }
     }
 
-    fn record_collective(
-        &mut self,
-        phase: &'static str,
-        op: &'static str,
-        group: &[Rank],
-        elems: u64,
-    ) {
-        if let Some(t) = self.trace.as_mut() {
-            if group.len() > 1 && elems > 0 {
-                t.push(TraceEvent::Collective {
-                    phase,
-                    op,
-                    group: group.to_vec(),
-                    elems,
-                });
-            }
-        }
-    }
-
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.stats.ranks()
@@ -192,21 +136,10 @@ impl Network {
             }
         }
         self.tracer.p2p(src, dst, elems, phase, drops, duplicated);
-        if let Some(t) = self.trace.as_mut() {
-            if src != dst && elems > 0 {
-                t.push(TraceEvent::P2p {
-                    phase,
-                    src,
-                    dst,
-                    elems,
-                });
-            }
-        }
     }
 
     /// Broadcast `elems` elements from `group[0]` to the whole group.
     pub fn broadcast(&mut self, group: &[Rank], elems: u64, phase: &'static str) {
-        self.record_collective(phase, "broadcast", group, elems);
         let v = match self.bcast_algo {
             BcastAlgo::Binomial => collectives::binomial_broadcast(group.len(), elems),
             BcastAlgo::Flat => collectives::flat_broadcast(group.len(), elems),
@@ -237,7 +170,6 @@ impl Network {
 
     /// Reduce `elems` elements from every group member onto `group[0]`.
     pub fn reduce(&mut self, group: &[Rank], elems: u64, phase: &'static str) {
-        self.record_collective(phase, "reduce", group, elems);
         let v = collectives::binomial_reduce(group.len(), elems);
         self.charge_group("reduce", group, &v, elems, phase);
     }
@@ -264,28 +196,24 @@ impl Network {
 
     /// Allreduce `elems` elements across the group (recursive doubling).
     pub fn allreduce(&mut self, group: &[Rank], elems: u64, phase: &'static str) {
-        self.record_collective(phase, "allreduce", group, elems);
         let v = collectives::recursive_doubling_allreduce(group.len(), elems);
         self.charge_group("allreduce", group, &v, elems, phase);
     }
 
     /// Scatter distinct `elems_per_rank`-element chunks from `group[0]`.
     pub fn scatter(&mut self, group: &[Rank], elems_per_rank: u64, phase: &'static str) {
-        self.record_collective(phase, "scatter", group, elems_per_rank);
         let v = collectives::scatter(group.len(), elems_per_rank);
         self.charge_group("scatter", group, &v, elems_per_rank, phase);
     }
 
     /// Gather `elems_per_rank`-element chunks onto `group[0]`.
     pub fn gather(&mut self, group: &[Rank], elems_per_rank: u64, phase: &'static str) {
-        self.record_collective(phase, "gather", group, elems_per_rank);
         let v = collectives::gather(group.len(), elems_per_rank);
         self.charge_group("gather", group, &v, elems_per_rank, phase);
     }
 
     /// Ring allgather of `elems`-element contributions.
     pub fn allgather(&mut self, group: &[Rank], elems: u64, phase: &'static str) {
-        self.record_collective(phase, "allgather", group, elems);
         let v = collectives::ring_allgather(group.len(), elems);
         self.charge_group("allgather", group, &v, elems, phase);
     }
@@ -293,14 +221,12 @@ impl Network {
     /// Butterfly exchange of `elems` elements per round over `log2 |group|`
     /// rounds (the tournament-pivoting pattern).
     pub fn butterfly(&mut self, group: &[Rank], elems: u64, phase: &'static str) {
-        self.record_collective(phase, "butterfly", group, elems);
         let v = collectives::butterfly_exchange(group.len(), elems);
         self.charge_group("butterfly", group, &v, elems, phase);
     }
 
     /// Reduce-scatter with `elems_per_chunk`-element result chunks.
     pub fn reduce_scatter(&mut self, group: &[Rank], elems_per_chunk: u64, phase: &'static str) {
-        self.record_collective(phase, "reduce-scatter", group, elems_per_chunk);
         let v = collectives::reduce_scatter(group.len(), elems_per_chunk);
         self.charge_group("reduce-scatter", group, &v, elems_per_chunk, phase);
     }

@@ -12,7 +12,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use conflux::{factorize_threaded, ConfluxConfig};
 use denselin::gemm::{auto_threads, gemm_auto};
 use denselin::lu::SingularMatrix;
-use denselin::{cholesky_blocked, lu_blocked, lu_parallel_with, solve_refined, Matrix};
+use denselin::{cholesky_blocked, lu_parallel_with, solve_refined, Matrix};
 use sparselin::{cg, CgConfig, CgOutcome, CsrMatrix, PrecondSetup, Preconditioner, SparseError};
 
 use crate::api::{MatrixKind, SolveError, SolveResponse};
@@ -137,17 +137,19 @@ pub(crate) fn factor_matrix(
             // fall through to the local path on any distributed failure
         }
     }
-    // Large local factorizations (including the cluster shards' failover
-    // path) go through the lookahead pipeline; it is bitwise identical to
-    // `lu_blocked`, so the verifier's cross-implementation equality oracles
-    // are unaffected by the routing threshold.
+    // Local factorizations (including the cluster shards' failover path)
+    // go through the lookahead pipeline, on every core from
+    // `LOOKAHEAD_MIN_N` on and on this thread below it. Its bits do not
+    // depend on the thread count and equal `lu_blocked`'s, so the
+    // verifier's cross-implementation equality oracles are unaffected by
+    // the threshold.
     let nb = panel.min(n.max(1));
-    let local = if n >= LOOKAHEAD_MIN_N {
-        lu_parallel_with(a, nb, auto_threads())
+    let threads = if n >= LOOKAHEAD_MIN_N {
+        auto_threads()
     } else {
-        lu_blocked(a, nb)
+        1
     };
-    match local {
+    match lu_parallel_with(a, nb, threads) {
         Ok(f) => Ok(Factored {
             factor: CachedFactor::Lu(f),
             distributed: false,
@@ -157,9 +159,9 @@ pub(crate) fn factor_matrix(
     }
 }
 
-/// Order at which the local factorization switches from `lu_blocked` to
-/// the lookahead-pipelined `lu_parallel` (below this the pipeline's
-/// stripe/band bookkeeping costs more than it saves).
+/// Order from which the local factorization runs the lookahead pipeline on
+/// [`auto_threads`] workers instead of one thread (below it, waking the
+/// pool for each panel costs more than the extra cores save).
 const LOOKAHEAD_MIN_N: usize = 192;
 
 /// Refine one solve that missed its tolerance. Returns the refined

@@ -337,7 +337,8 @@ fn run_lu(sc: &Scenario) -> Vec<CheckOutcome> {
                     let pm = n.min(24);
                     let pa = a.block(0, 0, pm, pm);
                     let mut probe = Matrix::zeros(pm, pm);
-                    denselin::gemm(&mut probe, 1.0, &pa, &pa, 0.0);
+                    let serial = denselin::GemmConfig::serial();
+                    denselin::gemm_with(&mut probe, (0, 0), 1.0, &pa, &pa, 0.0, &serial);
                     let mut emulated = Matrix::zeros(pm, pm);
                     denselin::gemm_emulated(&mut emulated, 1.0, &pa, &pa, 0.0, blk.kc, krn.fused);
                     out.push(CheckOutcome::from(

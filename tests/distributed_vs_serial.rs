@@ -12,6 +12,7 @@ use conflux_repro::conflux::{
 };
 use conflux_repro::denselin::SplitMix64;
 use conflux_repro::denselin::{lu_unblocked, Matrix};
+use conflux_repro::simnet::trace::EventKind;
 use conflux_repro::simnet::{FaultPlan, SimnetError, Supervisor};
 
 fn random_matrix(seed: u64, n: usize) -> Matrix {
@@ -160,25 +161,30 @@ fn threaded_conflux_crash_is_bounded_and_structured() {
 
 #[test]
 fn orchestrated_trace_replays_identically_under_faults() {
-    // seeded-replay guarantee at the TraceEvent level: same seed, same
-    // fault plan => the exact same event log, twice
+    // seeded-replay guarantee at the timeline level: same seed, same
+    // fault plan => the exact same virtual-time event log, twice
     let n = 64;
     let grid = LuGrid::new(8, 2, 2);
     let run = || {
-        let mut cfg = ConfluxConfig::phantom(n, 8, grid).with_faults(
-            FaultPlan::new(41)
-                .with_drop_rate(0.1)
-                .with_duplicate_rate(0.1),
-        );
-        cfg.trace = true;
+        let cfg = ConfluxConfig::phantom(n, 8, grid)
+            .with_faults(
+                FaultPlan::new(41)
+                    .with_drop_rate(0.1)
+                    .with_duplicate_rate(0.1),
+            )
+            .with_timeline();
         try_factorize(&cfg, None).expect("drops never abort the accountant")
     };
     let a = run();
     let b = run();
-    let ta = a.trace.expect("trace was enabled");
-    let tb = b.trace.expect("trace was enabled");
-    assert!(!ta.is_empty());
-    assert_eq!(ta, tb, "TraceEvent log must replay from the seed");
+    let ta = a.timeline.expect("timeline was enabled");
+    let tb = b.timeline.expect("timeline was enabled");
+    assert!(ta
+        .events
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::Retransmit { .. })));
+    assert_eq!(ta.p, tb.p);
+    assert_eq!(ta.events, tb.events, "timeline must replay from the seed");
     assert_eq!(a.stats.total_sent(), b.stats.total_sent());
 }
 
