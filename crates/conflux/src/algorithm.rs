@@ -14,7 +14,8 @@
 //! phase tag named after its step, so the per-step cost breakdown of
 //! Lemma 10 is directly testable.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 use denselin::matrix::Matrix;
 use denselin::trsm::{trsm_lower_left, trsm_upper_right};
@@ -105,42 +106,45 @@ impl ConfluxConfig {
     }
 }
 
-/// The factors produced by a Dense run.
+/// The factors produced by a Dense run, packed LAPACK-style: `lu` holds
+/// the unit-lower-triangular `L` strictly below its diagonal (the unit
+/// diagonal is implied) and the upper-triangular `U` on and above it, rows
+/// in elimination order.
 #[derive(Clone, Debug)]
 pub struct LuFactors {
     /// Row permutation: position `i` holds original row `perm[i]`.
     pub perm: Vec<usize>,
-    /// Unit-lower-triangular factor (rows in elimination order).
-    pub l: Matrix,
-    /// Upper-triangular factor.
-    pub u: Matrix,
+    /// Packed `L\U` factors.
+    pub lu: Matrix,
 }
 
 impl LuFactors {
+    /// The unit-lower-triangular factor `L`.
+    pub fn l(&self) -> Matrix {
+        self.lu.unit_lower()
+    }
+
+    /// The upper-triangular factor `U`.
+    pub fn u(&self) -> Matrix {
+        self.lu.upper()
+    }
+
     /// Relative residual `||P A − L U||_F / ||A||_F` against the original
     /// input matrix.
     pub fn residual(&self, a: &Matrix) -> f64 {
         let pa = a.gather_rows(&self.perm);
-        let recon = self.l.matmul(&self.u);
+        let recon = self.l().matmul(&self.u());
         pa.sub(&recon).frobenius_norm() / a.frobenius_norm().max(f64::MIN_POSITIVE)
     }
 
-    /// Pack the explicit `L`/`U` factors into a reusable
-    /// [`LuFactorization`](denselin::lu::LuFactorization) handle — the
-    /// LAPACK-style `L\U` form every serial solve/refinement path in
-    /// `denselin` consumes. This is how a distributed COnfLUX factorization
-    /// enters a factor cache (e.g. solversrv) and then serves arbitrarily
-    /// many cheap local solves.
+    /// The factors as a reusable
+    /// [`LuFactorization`](denselin::lu::LuFactorization) handle — the form
+    /// every serial solve/refinement path in `denselin` consumes. This is
+    /// how a distributed COnfLUX factorization enters a factor cache (e.g.
+    /// solversrv) and then serves arbitrarily many cheap local solves.
     pub fn to_factorization(&self) -> denselin::lu::LuFactorization {
-        let (m, n) = self.l.shape();
-        let mut lu = self.u.clone();
-        for i in 0..m {
-            for j in 0..i.min(n) {
-                lu[(i, j)] = self.l[(i, j)];
-            }
-        }
         denselin::lu::LuFactorization {
-            lu,
+            lu: self.lu.clone(),
             perm: self.perm.clone(),
             sign: denselin::lu::permutation_sign(&self.perm),
         }
@@ -166,13 +170,39 @@ pub struct ConfluxRun {
     pub config: ConfluxConfig,
 }
 
+/// Why a factorization did not complete.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LuCause {
+    /// The configuration or the input lies outside the driver's domain;
+    /// names the violated precondition. Nothing ran.
+    Precondition(&'static str),
+    /// The simulated machine failed the run: a crashed, timed-out or
+    /// panicked rank, or a message that exhausted its retries.
+    Simnet(SimnetError),
+}
+
+impl From<SimnetError> for LuCause {
+    fn from(e: SimnetError) -> Self {
+        LuCause::Simnet(e)
+    }
+}
+
+impl std::fmt::Display for LuCause {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LuCause::Precondition(what) => write!(f, "precondition violated: {what}"),
+            LuCause::Simnet(e) => e.fmt(f),
+        }
+    }
+}
+
 /// A factorization that did not complete: the structured cause, the step it
 /// died in, and the per-phase communication statistics collected up to that
 /// point — everything a caller needs to triage a faulted run.
 #[derive(Clone, Debug)]
 pub struct LuError {
-    /// The structured error that aborted the run.
-    pub error: SimnetError,
+    /// The structured cause that aborted the run.
+    pub error: LuCause,
     /// Algorithm step (`t` of the `N/v` outer iterations) at the abort, if
     /// known. Crash aborts know it exactly; timeouts discovered by a peer
     /// may not.
@@ -194,12 +224,23 @@ impl std::fmt::Display for LuError {
 
 impl std::error::Error for LuError {}
 
-struct StepOutput {
-    pivots: Vec<usize>,
-    a00: Option<Matrix>,
-    a10_rows: Vec<usize>,
-    a10: Option<Matrix>,
-    a01: Option<Matrix>,
+/// What one rank contributes to the factors of one step. Both drivers
+/// collect these and [`assemble`] copies them into the packed `L\U` after
+/// the run; assembly is result collection, not communication the algorithm
+/// performs, so it is never charged.
+pub(crate) struct StepShard {
+    /// Pivot rows in elimination order (on the first rank only).
+    pub pivots: Vec<usize>,
+    /// Factored `A00`, packed `L\U` (on the first rank only).
+    pub a00: Option<Matrix>,
+    /// Global row ids of the factored `A10` rows, one per row of `a10`.
+    pub a10_rows: Vec<usize>,
+    /// Factored `A10` rows (`v` columns each).
+    pub a10: Matrix,
+    /// Global column of the first column of `a01`.
+    pub a01_col0: usize,
+    /// Factored `A01` columns (`v` rows, pivot order).
+    pub a01: Matrix,
 }
 
 /// Run COnfLUX. `a` must be `Some` in Dense mode and is ignored in Phantom
@@ -281,7 +322,7 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
     let mut store = BlockStore::new(n, v, q, c, cfg.mode, a);
     let all_ranks = topo.all_ranks();
     let mut remaining: Vec<usize> = (0..n).collect();
-    let mut steps: Vec<StepOutput> = Vec::with_capacity(nb);
+    let mut steps: Vec<StepShard> = Vec::with_capacity(nb);
 
     for t in 0..nb {
         let kt = t % c;
@@ -301,7 +342,7 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
                 if c == 1 || co.k == 0 {
                     // layer 0 holds the only base copy: unrecoverable
                     return Err(LuError {
-                        error: SimnetError::RankCrashed { rank: r, step: t },
+                        error: SimnetError::RankCrashed { rank: r, step: t }.into(),
                         step: Some(t),
                         stats: net.stats.clone(),
                         retries: 0,
@@ -328,15 +369,19 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
             |group: Vec<usize>| -> Vec<usize> { group.into_iter().filter(|&r| alive[r]).collect() };
 
         // ---- Step 1: reduce the current block column over the fibers ----
+        // one reduction per fiber, over all of its live rows at once
         let live_groups = rows_by_block(&remaining, v);
-        for (br, rows) in &live_groups {
-            if c > 1 {
-                let fiber = live_members(store.fiber(*br, bct));
-                let root = store.owner(*br, bct, 0);
-                if fiber.len() > 1 {
-                    net.reduce_onto(root, &fiber, (rows.len() * v) as u64, "01:reduce-column");
+        if c > 1 {
+            let rows_of = rows_per_grid_row(&live_groups, q);
+            for (i, &nrows) in rows_of.iter().enumerate() {
+                let fiber = live_members(topo.layer_fiber(i, col_j));
+                if nrows > 0 && fiber.len() > 1 {
+                    let root = topo.rank_of(i, col_j, 0);
+                    net.reduce_onto(root, &fiber, (nrows * v) as u64, "01:reduce-column");
                 }
             }
+        }
+        for (br, rows) in &live_groups {
             store.fold_deltas(*br, bct, rows);
         }
 
@@ -381,34 +426,38 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
         }
 
         // ---- Step 4: scatter A10 1D block-row over all ranks ----
-        for e in a10_scatter_plan(&rows10, bct, p, v, q, &topo) {
-            net.send(
-                eff(e.src),
-                eff(e.dst),
-                (e.nrows * v) as u64,
-                "04:scatter-a10",
-            );
-        }
+        let plan4 = a10_scatter_plan(&rows10, bct, p, v, q, &topo);
+        send_coalesced(
+            &mut net,
+            plan4.iter().map(|e| (eff(e.src), eff(e.dst), e.nrows * v)),
+            "04:scatter-a10",
+        );
         let mut a10 = (cfg.mode == Mode::Dense).then(|| store.read_rows(bct, &rows10));
 
         // ---- Step 5: reduce the v pivot rows over the fibers ----
         let mut sorted_pivots = pivots.clone();
         sorted_pivots.sort_unstable();
         let piv_groups = rows_by_block(&sorted_pivots, v);
-        for (br, rows) in &piv_groups {
+        if c > 1 {
+            // one reduction per fiber, over its pivot rows x trailing columns
+            let rows_of = rows_per_grid_row(&piv_groups, q);
+            let mut blocks_of = vec![0usize; q];
             for bc in t + 1..nb {
-                if c > 1 {
-                    let fiber = live_members(store.fiber(*br, bc));
-                    let root = store.owner(*br, bc, 0);
-                    if fiber.len() > 1 {
-                        net.reduce_onto(
-                            root,
-                            &fiber,
-                            (rows.len() * v) as u64,
-                            "05:reduce-pivot-rows",
-                        );
+                blocks_of[bc % q] += 1;
+            }
+            for (i, &nrows) in rows_of.iter().enumerate() {
+                for (j, &nblocks) in blocks_of.iter().enumerate() {
+                    let fiber = live_members(topo.layer_fiber(i, j));
+                    if nrows * nblocks > 0 && fiber.len() > 1 {
+                        let elems = (nrows * nblocks * v) as u64;
+                        let root = topo.rank_of(i, j, 0);
+                        net.reduce_onto(root, &fiber, elems, "05:reduce-pivot-rows");
                     }
                 }
+            }
+        }
+        for (br, rows) in &piv_groups {
+            for bc in t + 1..nb {
                 store.fold_deltas(*br, bc, rows);
             }
         }
@@ -416,14 +465,14 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
         // ---- Step 6: scatter A01 1D block-column over all ranks ----
         let m01 = (nb - t - 1) * v;
         if m01 > 0 {
-            for e in a01_scatter_plan(&piv_groups, t, nb, p, v, m01, &topo, q) {
-                net.send(
-                    eff(e.src),
-                    eff(e.dst),
-                    (e.nrows * e.seg) as u64,
-                    "06:scatter-a01",
-                );
-            }
+            let plan6 = a01_scatter_plan(&piv_groups, t, nb, p, v, m01, &topo, q);
+            send_coalesced(
+                &mut net,
+                plan6
+                    .iter()
+                    .map(|e| (eff(e.src), eff(e.dst), e.nrows * e.seg)),
+                "06:scatter-a01",
+            );
         }
         let mut a01 =
             (cfg.mode == Mode::Dense && m01 > 0).then(|| store.read_row_panel(&pivots, t + 1));
@@ -441,22 +490,20 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
 
         // ---- Step 8: send factored A10 rows to layer kt ----
         let dst_cols: Vec<usize> = grid_cols_of_trailing(t, nb, q);
-        for e in a10_send_segments(&rows10, p, v) {
-            for &j in &dst_cols {
-                let dst = topo.rank_of(e.br % q, j, kt);
-                net.send(eff(e.src), eff(dst), (e.len * v) as u64, "08:send-a10");
-                if ft && c > 1 {
-                    // panel redundancy: a backup layer also gets the rows,
-                    // so a later crash of layer kt stays recoverable
-                    let backup = topo.rank_of(e.br % q, j, (kt + 1) % c);
-                    net.send(
-                        eff(e.src),
-                        eff(backup),
-                        (e.len * v) as u64,
-                        "08b:ft-backup-a10",
-                    );
-                }
-            }
+        let segs8 = a10_send_segments(&rows10, p, v);
+        let sends8 = |k: usize| {
+            let (topo, segs8, dst_cols, eff) = (&topo, &segs8, &dst_cols, &eff);
+            segs8.iter().flat_map(move |e| {
+                dst_cols
+                    .iter()
+                    .map(move |&j| (eff(e.src), eff(topo.rank_of(e.br % q, j, k)), e.len * v))
+            })
+        };
+        send_coalesced(&mut net, sends8(kt), "08:send-a10");
+        if ft && c > 1 {
+            // panel redundancy: a backup layer also gets the rows, so a
+            // later crash of layer kt stays recoverable
+            send_coalesced(&mut net, sends8((kt + 1) % c), "08b:ft-backup-a10");
         }
 
         // ---- Step 9: FactorizeA01 locally: A01 <- L00^{-1} · A01 ----
@@ -469,20 +516,18 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
         // ---- Step 10: send factored A01 columns to layer kt ----
         let dst_rows: Vec<usize> = grid_rows_of_live(&live_groups, &pivset, q);
         if m01 > 0 {
-            for e in a01_send_segments(t, nb, p, v, m01) {
-                for &i in &dst_rows {
-                    let dst = topo.rank_of(i, e.bc % q, kt);
-                    net.send(eff(e.src), eff(dst), (e.seg * v) as u64, "10:send-a01");
-                    if ft && c > 1 {
-                        let backup = topo.rank_of(i, e.bc % q, (kt + 1) % c);
-                        net.send(
-                            eff(e.src),
-                            eff(backup),
-                            (e.seg * v) as u64,
-                            "10b:ft-backup-a01",
-                        );
-                    }
-                }
+            let segs10 = a01_send_segments(t, nb, p, v, m01);
+            let sends10 = |k: usize| {
+                let (topo, segs10, dst_rows, eff) = (&topo, &segs10, &dst_rows, &eff);
+                segs10.iter().flat_map(move |e| {
+                    dst_rows
+                        .iter()
+                        .map(move |&i| (eff(e.src), eff(topo.rank_of(i, e.bc % q, k)), e.seg * v))
+                })
+            };
+            send_coalesced(&mut net, sends10(kt), "10:send-a01");
+            if ft && c > 1 {
+                send_coalesced(&mut net, sends10((kt + 1) % c), "10b:ft-backup-a01");
             }
         }
 
@@ -507,16 +552,19 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
             }
         }
 
-        steps.push(StepOutput {
-            pivots,
-            a00: dense_a00(&round).cloned(),
-            a10_rows: rows10,
-            a10,
-            a01,
-        });
+        if let (Some(a00), Some(a10)) = (dense_a00(&round), a10) {
+            steps.push(StepShard {
+                pivots,
+                a00: Some(a00.clone()),
+                a10_rows: rows10,
+                a10,
+                a01_col0: (t + 1) * v,
+                a01: a01.unwrap_or_else(|| Matrix::zeros(v, 0)),
+            });
+        }
     }
 
-    let factors = (cfg.mode == Mode::Dense).then(|| assemble(n, v, &steps));
+    let factors = (cfg.mode == Mode::Dense).then(|| assemble(n, v, std::slice::from_ref(&steps)));
     let timeline = net.take_timeline();
     Ok(ConfluxRun {
         stats: net.stats,
@@ -757,50 +805,77 @@ fn count_swap_traffic(
     }
 }
 
-/// Stitch the per-step panels into global `P`, `L`, `U`.
-fn assemble(n: usize, v: usize, steps: &[StepOutput]) -> LuFactors {
-    let mut perm = Vec::with_capacity(n);
-    for s in steps {
-        perm.extend_from_slice(&s.pivots);
-    }
+/// Copy every step's shards into one packed `n x n` `L\U`, row slice by
+/// row slice: `shards[r][t]` is rank `r`'s shard of step `t`, and
+/// `shards[0]` carries the pivots and `A00`.
+pub(crate) fn assemble(n: usize, v: usize, shards: &[Vec<StepShard>]) -> LuFactors {
+    let perm: Vec<usize> = shards[0]
+        .iter()
+        .flat_map(|s| s.pivots.iter().copied())
+        .collect();
     debug_assert_eq!(perm.len(), n);
     let mut pos_of = vec![usize::MAX; n];
     for (pos, &r) in perm.iter().enumerate() {
         pos_of[r] = pos;
     }
-
-    let mut l = Matrix::identity(n);
-    let mut u = Matrix::zeros(n, n);
-    for (t, s) in steps.iter().enumerate() {
+    let mut lu = Matrix::zeros(n, n);
+    for (t, first) in shards[0].iter().enumerate() {
         let base = t * v;
-        let a00 = s.a00.as_ref().expect("dense assembly requires factors");
+        let a00 = first.a00.as_ref().expect("the first rank carries A00");
         for i in 0..v {
-            for j in 0..v {
-                if i > j {
-                    l[(base + i, base + j)] = a00[(i, j)];
-                } else {
-                    u[(base + i, base + j)] = a00[(i, j)];
-                }
-            }
+            lu.row_mut(base + i)[base..base + v].copy_from_slice(a00.row(i));
         }
-        if let Some(a10) = &s.a10 {
-            for (k, &r) in s.a10_rows.iter().enumerate() {
-                let pos = pos_of[r];
-                debug_assert!(pos >= base + v);
-                for j in 0..v {
-                    l[(pos, base + j)] = a10[(k, j)];
-                }
+        for rank_shards in shards {
+            let shard = &rank_shards[t];
+            for (&r, vals) in shard
+                .a10_rows
+                .iter()
+                .zip(shard.a10.as_slice().chunks_exact(v))
+            {
+                debug_assert!(pos_of[r] >= base + v);
+                lu.row_mut(pos_of[r])[base..base + v].copy_from_slice(vals);
             }
-        }
-        if let Some(a01) = &s.a01 {
+            let (c0, w) = (shard.a01_col0, shard.a01.cols());
             for i in 0..v {
-                for j in 0..a01.cols() {
-                    u[(base + i, base + v + j)] = a01[(i, j)];
-                }
+                lu.row_mut(base + i)[c0..c0 + w].copy_from_slice(shard.a01.row(i));
             }
         }
     }
-    LuFactors { perm, l, u }
+    LuFactors { perm, lu }
+}
+
+/// Charge one message per `(src, dst)` pair of `transfers`, carrying the
+/// pair's summed elements, in order of each pair's first transfer. This is
+/// the threaded driver's one-buffer-per-destination packing, seen by the
+/// accountant.
+pub(crate) fn send_coalesced(
+    net: &mut Network,
+    transfers: impl IntoIterator<Item = (usize, usize, usize)>,
+    phase: &'static str,
+) {
+    let mut index: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut pairs: Vec<(usize, usize, usize)> = Vec::new();
+    for (src, dst, elems) in transfers {
+        match index.entry((src, dst)) {
+            Entry::Occupied(k) => pairs[*k.get()].2 += elems,
+            Entry::Vacant(slot) => {
+                slot.insert(pairs.len());
+                pairs.push((src, dst, elems));
+            }
+        }
+    }
+    for (src, dst, elems) in pairs {
+        net.send(src, dst, elems as u64, phase);
+    }
+}
+
+/// Rows of `groups` (as returned by `rows_by_block`) per grid row.
+fn rows_per_grid_row(groups: &[(usize, Vec<usize>)], q: usize) -> Vec<usize> {
+    let mut rows_of = vec![0; q];
+    for (br, rows) in groups {
+        rows_of[br % q] += rows.len();
+    }
+    rows_of
 }
 
 #[cfg(test)]
@@ -852,10 +927,71 @@ mod tests {
         let x_true = Matrix::random(&mut rng, 32, 3);
         let b = a.matmul(&x_true);
         assert!(packed.solve(&b).allclose(&x_true, 1e-7));
-        // packed L\U agrees entry-wise with the explicit factors
+        // the handle carries the packed factors unchanged
         assert_eq!(packed.perm, f.perm);
-        assert!(packed.lu.unit_lower().allclose(&f.l, 1e-14));
-        assert!(packed.lu.upper().allclose(&f.u, 1e-14));
+        assert_eq!(packed.lu.as_slice(), f.lu.as_slice());
+    }
+
+    /// The explicit form the factors used to leave the driver in: `L`
+    /// starts as the identity and `U` as zeros, and each packed entry is
+    /// copied below (`L`) or on and above (`U`) the diagonal.
+    fn explicit_l_u(lu: &Matrix) -> (Matrix, Matrix) {
+        let n = lu.rows();
+        let mut l = Matrix::identity(n);
+        let mut u = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                if i > j {
+                    l[(i, j)] = lu[(i, j)];
+                } else {
+                    u[(i, j)] = lu[(i, j)];
+                }
+            }
+        }
+        (l, u)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn packed_l_and_u_are_the_explicit_factors_bit_for_bit() {
+        let (a, run) = dense_run(48, 8, 2, 2, 13);
+        let f = run.factors.unwrap();
+        let (l, u) = explicit_l_u(&f.lu);
+        assert_eq!(bits(&f.l()), bits(&l));
+        assert_eq!(bits(&f.u()), bits(&u));
+        // a negative zero in the packed buffer stays where it belongs
+        let mut packed = f.clone();
+        packed.lu[(5, 2)] = -0.0;
+        packed.lu[(2, 5)] = -0.0;
+        let (l, u) = explicit_l_u(&packed.lu);
+        assert_eq!(bits(&packed.l()), bits(&l));
+        assert_eq!(bits(&packed.u()), bits(&u));
+        // the residual is computed from exactly those factors
+        let recon = l.matmul(&u);
+        let pa = a.gather_rows(&f.perm);
+        let expect = pa.sub(&recon).frobenius_norm() / a.frobenius_norm();
+        assert_eq!(packed.residual(&a).to_bits(), expect.to_bits());
+    }
+
+    #[test]
+    fn to_factorization_matches_the_explicit_packing() {
+        let (_, run) = dense_run(32, 4, 1, 2, 14);
+        let f = run.factors.unwrap();
+        let handle = f.to_factorization();
+        // the old conversion: start from U, copy L's strictly-lower part
+        let (l, u) = explicit_l_u(&f.lu);
+        let mut lu = u.clone();
+        for i in 0..32 {
+            for j in 0..i {
+                lu[(i, j)] = l[(i, j)];
+            }
+        }
+        assert_eq!(bits(&handle.lu), bits(&lu));
+        assert_eq!(handle.perm, f.perm);
+        assert_eq!(handle.sign, denselin::lu::permutation_sign(&f.perm));
     }
 
     #[test]

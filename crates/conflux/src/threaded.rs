@@ -7,8 +7,18 @@
 //! transfer is a real message through [`simnet::threaded`]. Both backends
 //! follow the identical communication plans (the shared `a10_scatter_plan`
 //! / `a01_scatter_plan` / segment helpers), use the same phase names, and —
-//! under a zero fault plan — charge byte-identical per-rank, per-phase
-//! volumes, which `tests/distributed_vs_serial.rs` asserts.
+//! under a zero fault plan — charge identical per-rank, per-phase elements
+//! and messages, which `tests/threaded_parity.rs` asserts.
+//!
+//! # Messages
+//!
+//! Every phase of every step sends at most one message per (source,
+//! destination) pair. Steps 1 and 5 fold all of a rank's tiles of the step
+//! in one reduction over its layer fiber; steps 4, 6, 8 and 10 pack every
+//! plan entry bound for one destination into one buffer, in plan order, and
+//! the receiver unpacks in the same order. The elements each rank moves are
+//! exactly those of the per-tile plan; only the message count falls (107
+//! instead of about 3000 at N = 512, v = 32 on `[1, 1, 2]`).
 //!
 //! # Rank storage
 //!
@@ -22,12 +32,21 @@
 //! the pivots, every pivot row the rank owns is swapped into the *retired*
 //! prefix of the slots (a local data move, never charged as
 //! communication). The live rows are then exactly the slots past the
-//! prefix, so step 11's whole Schur update is one in-place GEMM on the
-//! submatrix `delta[retired.., trailing..]` with the received `A10` rows
-//! packed in slot order and the received `A01` blocks packed side by side.
-//! Each element receives one `+= Σ_k l·u` over the `v` terms in a fixed
-//! order, whatever its slot or tile, so the factors do not depend on the
-//! storage layout (DESIGN.md §17).
+//! prefix and the step's pivot rows the slots just before it, so each
+//! fiber reduction covers one rectangle of the delta matrix, and step 11's
+//! Schur update is an in-place GEMM on the submatrix
+//! `delta[retired.., trailing..]` with the received `A10` rows packed in
+//! slot order and the received `A01` blocks packed side by side.
+//!
+//! # Lookahead
+//!
+//! The update layer of step `t` first updates block column `t + 1` (if it
+//! owns it), then enters step `t + 1` and sends its step-1 contribution
+//! before it runs the rest of step `t`'s update, so the pivot search of
+//! step `t + 1` no longer waits for the whole trailing update. Each
+//! element still receives one `+= Σ_k l·u` over the `v` terms in a fixed
+//! order, whatever its slot, tile or column split, so the factors do not
+//! depend on the storage layout or the lookahead (DESIGN.md §17).
 //!
 //! # Faults
 //!
@@ -42,9 +61,11 @@
 //! Restrictions compared to the orchestrated driver: Dense mode with
 //! masking pivoting only, and `q` must be a power of two (the tournament
 //! butterfly converges — and matches the orchestrated volume formula —
-//! only on power-of-two groups).
+//! only on power-of-two groups). A configuration outside this domain is a
+//! [`LuCause::Precondition`] error, never a panic.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use denselin::gemm::{auto_threads, gemm_with, GemmConfig};
 use denselin::matrix::Matrix;
@@ -52,36 +73,18 @@ use denselin::tournament::{local_candidates, lu_no_pivot, playoff_round, Candida
 use denselin::trsm::{trsm_lower_left_parallel, trsm_upper_right};
 use simnet::error::SimnetResult;
 use simnet::network::BcastAlgo;
-use simnet::stats::Rank;
+use simnet::stats::{CommStats, Rank};
 use simnet::threaded::{run_spmd_supervised, RankCtx, Supervisor};
 use simnet::topology::{Coord3D, Grid3D};
 
 use crate::algorithm::{
-    a01_scatter_plan, a01_send_segments, a10_scatter_plan, a10_send_segments,
-    grid_cols_of_trailing, grid_rows_of_live, ConfluxConfig, ConfluxRun, LuError, LuFactors,
+    a01_scatter_plan, a01_send_segments, a10_scatter_plan, a10_send_segments, assemble,
+    grid_cols_of_trailing, grid_rows_of_live, ConfluxConfig, ConfluxRun, LuCause, LuError,
+    StepShard,
 };
 use crate::pivoting::{synthetic_winners, PivotChoice, PivotStrategy};
 use crate::store::rows_by_block;
 use crate::tiles::Mode;
-
-/// What one rank contributes to the assembly of one step's factors. The
-/// final `L`/`U` are stitched from these after the threads join — assembly
-/// is a result-collection artifact of the harness, not communication the
-/// algorithm performs, so it is not charged.
-struct StepShard {
-    /// Pivot rows in elimination order (filled by rank 0 only).
-    pivots: Vec<usize>,
-    /// Factored `A00` (rank 0 only).
-    a00: Option<Matrix>,
-    /// Global row ids of this rank's factored `A10` rows.
-    a10_rows: Vec<usize>,
-    /// This rank's factored `A10` rows, one per entry of `a10_rows`.
-    a10: Matrix,
-    /// Global column of the first of this rank's factored `A01` columns.
-    a01_col0: usize,
-    /// This rank's factored `A01` columns (`v` rows, pivot order).
-    a01: Matrix,
-}
 
 /// One rank's block-cyclic shard of the matrix in contiguous storage; see
 /// the module docs for the layout.
@@ -158,62 +161,55 @@ impl RankStore {
         self.slot_of[r] - self.retired
     }
 
-    fn base(&self) -> &Matrix {
-        self.base.as_ref().expect("base lives on layer 0")
-    }
-
     /// Columns `off..off + len` of block column `bc` of base row `r`.
     fn base_slice(&self, r: usize, bc: usize, off: usize, len: usize) -> &[f64] {
         let c0 = self.lcol(bc) + off;
-        &self.base().row(self.slot_of[r])[c0..c0 + len]
+        let base = self.base.as_ref().expect("base lives on layer 0");
+        &base.row(self.slot_of[r])[c0..c0 + len]
     }
 
-    /// Block column `bc` of `rows` in `m` (delta or base), flattened.
-    fn gather(&self, m: &Matrix, bc: usize, rows: &[usize]) -> Vec<f64> {
-        let c0 = self.lcol(bc);
+    /// Current base values of `rows` in block column `bc`, as a
+    /// `rows.len() x v` panel.
+    fn read_base_rows(&self, bc: usize, rows: &[usize]) -> Matrix {
         let mut out = Vec::with_capacity(rows.len() * self.v);
         for &r in rows {
-            out.extend_from_slice(&m.row(self.slot_of[r])[c0..c0 + self.v]);
+            out.extend_from_slice(self.base_slice(r, bc, 0, self.v));
         }
-        out
+        Matrix::from_vec(rows.len(), self.v, out)
     }
 
-    /// Current base values of `rows` in block column `bc`, flattened.
-    fn gather_base_rows(&self, bc: usize, rows: &[usize]) -> Vec<f64> {
-        self.gather(self.base(), bc, rows)
-    }
-
-    /// [`Self::gather_base_rows`] as a `rows.len() x v` panel.
-    fn read_base_rows(&self, bc: usize, rows: &[usize]) -> Matrix {
-        Matrix::from_vec(rows.len(), self.v, self.gather_base_rows(bc, rows))
-    }
-
-    /// Fold every layer's delta for `rows` of block column `bc` into the
-    /// base: a sum over the layer fiber when `c > 1`, then `base -= sum` on
-    /// the layer-0 owner. The deltas are zeroed on every layer.
+    /// Fold every layer's delta over the rectangle `slots x cols` into the
+    /// base: one sum over the layer fiber when `c > 1`, the whole rectangle
+    /// in one contribution, then `base -= sum` on the layer-0 owner. The
+    /// deltas are zeroed on every layer. Each element's sum runs over the
+    /// same binomial tree whatever else shares the message.
     fn fold_layers(
         &mut self,
         ctx: &mut RankCtx,
         fiber: &[Rank],
-        bc: usize,
-        rows: &[usize],
+        slots: Range<usize>,
+        cols: Range<usize>,
         tag: u64,
         phase: &'static str,
     ) -> SimnetResult<()> {
-        let contrib = self.gather(&self.delta, bc, rows);
+        if slots.is_empty() || cols.is_empty() {
+            return Ok(());
+        }
+        let mut contrib = Vec::with_capacity(slots.len() * cols.len());
+        for s in slots.clone() {
+            let row = &mut self.delta.row_mut(s)[cols.clone()];
+            contrib.extend_from_slice(row);
+            row.fill(0.0);
+        }
         let folded = if fiber.len() > 1 {
             ctx.try_reduce_sum(fiber, fiber[0], contrib, tag, phase)?
         } else {
             Some(contrib)
         };
-        let (c0, v) = (self.lcol(bc), self.v);
-        for &r in rows {
-            self.delta.row_mut(self.slot_of[r])[c0..c0 + v].fill(0.0);
-        }
         if let Some(sum) = folded {
             let base = self.base.as_mut().expect("base lives on layer 0");
-            for (&r, s) in rows.iter().zip(sum.chunks_exact(v)) {
-                for (b, x) in base.row_mut(self.slot_of[r])[c0..c0 + v].iter_mut().zip(s) {
+            for (s, part) in slots.zip(sum.chunks_exact(cols.len())) {
+                for (b, x) in base.row_mut(s)[cols.clone()].iter_mut().zip(part) {
                     *b -= x;
                 }
             }
@@ -221,8 +217,10 @@ impl RankStore {
         Ok(())
     }
 
-    /// Move every owned row of `pivots` into the retired prefix.
-    fn retire(&mut self, pivots: &[usize]) {
+    /// Move every owned row of `pivots` into the retired prefix; returns
+    /// the slots they now fill.
+    fn retire(&mut self, pivots: &[usize]) -> Range<usize> {
+        let first = self.retired;
         for &r in pivots {
             let slot = self.slot_of[r];
             if slot == usize::MAX {
@@ -239,23 +237,31 @@ impl RankStore {
             self.slot_of[r] = dst;
             self.retired += 1;
         }
+        first..self.retired
     }
 
-    /// Step 11: `delta[live, trailing] += l · u` in place, with `l` holding
-    /// the live rows in slot order and `u` the trailing columns.
-    fn schur_update(&mut self, t: usize, l: &Matrix, u: &Matrix) {
-        let c0 = self.trailing_col(t);
+    /// Step 11 on the columns `c0..c0 + u.cols()`: `delta[live, ..] += l ·
+    /// u` in place, with `l` holding the live rows in slot order.
+    fn schur_update(&mut self, c0: usize, l: &Matrix, u: &Matrix) {
         let at = (self.retired, c0);
         gemm_with(&mut self.delta, at, 1.0, l, u, 1.0, &GemmConfig::serial());
     }
 }
 
-/// `tag = (step-major counter) << 12 | plan index`: unique per collective
-/// or point-to-point plan entry within a run (the threaded collectives fold
+/// Ranks the tag scheme can address: the low 12 bits of a tag.
+const MAX_RANKS: usize = 1 << 12;
+
+/// `tag = (step-major counter) << 12 | peer`: every phase of every step
+/// sends at most one message per (source, destination) pair, so the
+/// destination rank completes a unique tag (the threaded collectives fold
 /// their internal round numbers into the high bits themselves).
-fn tag_of(t: usize, step: usize, idx: usize) -> u64 {
-    debug_assert!(idx < (1 << 12), "plan too large for the tag scheme");
-    (((t * 16 + step) as u64) << 12) | idx as u64
+///
+/// # Panics
+/// Panics if `peer` does not fit the low 12 bits, which would alias the
+/// next step's tags.
+fn tag_of(t: usize, step: usize, peer: Rank) -> u64 {
+    assert!(peer < MAX_RANKS, "rank {peer} does not fit the tag scheme");
+    (((t * 16 + step) as u64) << 12) | peer as u64
 }
 
 /// Encode a candidate set as a flat buffer of exactly `v * (v + 1)` values:
@@ -314,6 +320,39 @@ fn merge_synthetic(a: &Candidates, b: &Candidates, winners: &[usize], v: usize) 
     Candidates { rows, values }
 }
 
+/// The first precondition of the threaded driver that `cfg` and `a`
+/// violate, if any.
+fn precondition_violated(cfg: &ConfluxConfig, a: &Matrix) -> Option<&'static str> {
+    let (n, v) = (cfg.n, cfg.v);
+    let (q, c) = (cfg.grid.q, cfg.grid.c);
+    [
+        (v == 0, "block size v must be positive"),
+        (n % v.max(1) != 0, "v must divide n"),
+        (c == 0, "the grid needs at least one layer"),
+        (v < c, "v must be at least the layer count c"),
+        (cfg.mode != Mode::Dense, "the threaded driver is Dense-only"),
+        (
+            cfg.pivot_strategy != PivotStrategy::Masking,
+            "the threaded driver implements masking pivoting only",
+        ),
+        (
+            cfg.bcast != BcastAlgo::Binomial,
+            "threaded collectives are binomial-tree only",
+        ),
+        (
+            !q.is_power_of_two(),
+            "the threaded tournament butterfly needs a power-of-two q",
+        ),
+        (
+            q * q * c > MAX_RANKS,
+            "the message tags address at most 4096 ranks",
+        ),
+        (a.shape() != (n, n), "the input matrix must be n x n"),
+    ]
+    .into_iter()
+    .find_map(|(violated, what)| violated.then_some(what))
+}
+
 /// Run COnfLUX as a supervised SPMD program over `p = q*q*c` rank threads.
 ///
 /// The configuration's [`FaultPlan`](simnet::FaultPlan) is installed into
@@ -322,35 +361,25 @@ fn merge_synthetic(a: &Candidates, b: &Candidates, winners: &[usize], v: usize) 
 /// and merged statistics — or a [`LuError`] carrying the structured cause
 /// and the partial statistics if any rank crashed, timed out or panicked.
 ///
-/// # Panics
-/// Panics if the configuration is outside the threaded driver's domain:
-/// non-Dense mode, swapping pivoting, non-binomial broadcast, or a `q`
-/// that is not a power of two.
+/// A configuration outside the driver's domain — `v` zero or not dividing
+/// `n`, `v < c`, non-Dense mode, swapping pivoting, a non-binomial
+/// broadcast, a `q` that is not a power of two, more than 4096 ranks, or an
+/// input that is not `n x n` — returns [`LuCause::Precondition`] naming the
+/// violated rule before any rank starts.
 pub fn try_factorize_threaded(
     cfg: &ConfluxConfig,
     a: &Matrix,
     sup: Supervisor,
 ) -> Result<ConfluxRun, LuError> {
+    if let Some(what) = precondition_violated(cfg, a) {
+        return Err(LuError {
+            error: LuCause::Precondition(what),
+            step: None,
+            stats: CommStats::default(),
+            retries: 0,
+        });
+    }
     let (n, v) = (cfg.n, cfg.v);
-    assert!(n % v == 0, "v must divide n");
-    let (q, c) = (cfg.grid.q, cfg.grid.c);
-    assert!(v >= c, "v must be at least the layer count c");
-    assert_eq!(cfg.mode, Mode::Dense, "threaded driver is Dense-only");
-    assert_eq!(
-        cfg.pivot_strategy,
-        PivotStrategy::Masking,
-        "threaded driver implements masking pivoting only"
-    );
-    assert_eq!(
-        cfg.bcast,
-        BcastAlgo::Binomial,
-        "threaded collectives are binomial-tree only"
-    );
-    assert!(
-        q.is_power_of_two(),
-        "threaded tournament butterfly needs a power-of-two q"
-    );
-    assert_eq!(a.shape(), (n, n), "input matrix must be n x n");
     let topo = cfg.grid.topology();
     let p = topo.ranks();
     let nb = n / v;
@@ -364,16 +393,13 @@ pub fn try_factorize_threaded(
     let timeline = report.trace.take();
 
     match report.into_result() {
-        Ok((shards, stats)) => {
-            let factors = assemble_shards(n, v, nb, &shards);
-            Ok(ConfluxRun {
-                stats,
-                factors: Some(factors),
-                timeline,
-                retries,
-                config: cfg.clone(),
-            })
-        }
+        Ok((shards, stats)) => Ok(ConfluxRun {
+            stats,
+            factors: Some(assemble(n, v, &shards)),
+            timeline,
+            retries,
+            config: cfg.clone(),
+        }),
         Err(failure) => {
             // prefer the injected fault (the root cause) over the timeouts
             // the surviving ranks report as a consequence
@@ -388,7 +414,7 @@ pub fn try_factorize_threaded(
                 _ => None,
             };
             Err(LuError {
-                error,
+                error: error.into(),
                 step,
                 stats: failure.stats,
                 retries: failure.retries,
@@ -400,6 +426,62 @@ pub fn try_factorize_threaded(
 /// Convenience wrapper: default supervision (plus the config's fault plan).
 pub fn factorize_threaded(cfg: &ConfluxConfig, a: &Matrix) -> Result<ConfluxRun, LuError> {
     try_factorize_threaded(cfg, a, Supervisor::default())
+}
+
+/// One phase's point-to-point traffic, one message per peer: every entry
+/// of `plan` this rank is the source of is packed into one buffer per
+/// destination, in plan order; then one message per source is received and
+/// every entry bound here gets its slice of it, again in plan order.
+/// `route(e)` is the entry's `(src, dst, elements)`; `(t, step)` name the
+/// phase in the tags. The rank's share for itself never touches the wire.
+fn exchange<E>(
+    ctx: &mut RankCtx,
+    plan: impl Iterator<Item = E> + Clone,
+    route: impl Fn(&E) -> (Rank, Rank, usize),
+    mut pack: impl FnMut(&E, &mut Vec<f64>),
+    mut unpack: impl FnMut(&E, &[f64]),
+    (t, step): (usize, usize),
+    phase: &'static str,
+) -> SimnetResult<()> {
+    let (me, p) = (ctx.rank, ctx.p);
+    let mut out_len = vec![0; p];
+    let mut in_len = vec![0; p];
+    for e in plan.clone() {
+        let (src, dst, len) = route(&e);
+        if src == me {
+            out_len[dst] += len;
+        }
+        if dst == me {
+            in_len[src] += len;
+        }
+    }
+    let mut out: Vec<Vec<f64>> = out_len.iter().map(|&len| Vec::with_capacity(len)).collect();
+    for e in plan.clone() {
+        let (src, dst, _) = route(&e);
+        if src == me {
+            pack(&e, &mut out[dst]);
+        }
+    }
+    let mut inbox: Vec<Vec<f64>> = vec![Vec::new(); p];
+    inbox[me] = std::mem::take(&mut out[me]);
+    for (dst, buf) in out.into_iter().enumerate() {
+        if !buf.is_empty() {
+            ctx.try_send(dst, tag_of(t, step, dst), buf, phase)?;
+        }
+    }
+    for src in (0..p).filter(|&src| src != me && in_len[src] > 0) {
+        inbox[src] = ctx.try_recv_from(src, tag_of(t, step, me))?;
+        debug_assert_eq!(inbox[src].len(), in_len[src], "message from {src}");
+    }
+    let mut at = vec![0; p];
+    for e in plan {
+        let (src, dst, len) = route(&e);
+        if dst == me {
+            unpack(&e, &inbox[src][at[src]..at[src] + len]);
+            at[src] += len;
+        }
+    }
+    Ok(())
 }
 
 /// The per-rank SPMD program: the same 11 steps as the orchestrated driver,
@@ -422,6 +504,9 @@ fn rank_program(
 
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut shards: Vec<StepShard> = Vec::with_capacity(nb);
+    // the lookahead's deferred part of the previous step's Schur update:
+    // `l` and the trailing columns past the next block column
+    let mut deferred: Option<(Matrix, Matrix)> = None;
 
     for t in 0..nb {
         // a planned crash fires here, between steps, as a structured error
@@ -432,19 +517,19 @@ fn rank_program(
         let col_j = bct % q;
 
         // ---- Step 1: reduce the current block column over the fibers ----
+        // one reduction over all of this rank's live rows
         let live_groups = rows_by_block(&remaining, v);
-        for (idx, (br, rows)) in live_groups.iter().enumerate() {
-            if br % q != me.i || bct % q != me.j {
-                continue;
-            }
-            store.fold_layers(
-                ctx,
-                &fiber,
-                bct,
-                rows,
-                tag_of(t, 1, idx),
-                "01:reduce-column",
-            )?;
+        if me.j == col_j {
+            let (c0, slots) = (store.lcol(bct), store.retired..store.row_at.len());
+            let tag1 = tag_of(t, 1, 0);
+            store.fold_layers(ctx, &fiber, slots, c0..c0 + v, tag1, "01:reduce-column")?;
+        }
+
+        // ---- the rest of step t-1's Schur update, now that step 1 has
+        // sent its contribution ----
+        if let Some((l, u)) = deferred.take() {
+            let c0 = store.delta.cols() - u.cols();
+            ctx.compute("11:schur-update", "gemm", || store.schur_update(c0, &l, &u));
         }
 
         // ---- Step 2: tournament pivoting on the column group ----
@@ -452,27 +537,21 @@ fn rank_program(
         let in_pivot_group = me.j == col_j && me.k == 0;
         let mut winner: Option<Candidates> = None;
         if in_pivot_group {
-            let my_rows: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&r| (r / v) % q == me.i)
-                .collect();
-            let local = match cfg.pivot_choice {
-                PivotChoice::Tournament => {
-                    let panel = store.read_base_rows(bct, &my_rows);
-                    local_candidates(&panel, &my_rows, v)
+            let local = ctx.compute("02:tournament", "pivot-search", || {
+                let mine = match cfg.pivot_choice {
+                    PivotChoice::Tournament => remaining.clone(),
+                    PivotChoice::Synthetic => synthetic_winners(&remaining, v, cfg.seed, t),
+                };
+                let mine: Vec<usize> = mine.into_iter().filter(|&r| (r / v) % q == me.i).collect();
+                let panel = store.read_base_rows(bct, &mine);
+                match cfg.pivot_choice {
+                    PivotChoice::Tournament => local_candidates(&panel, &mine, v),
+                    PivotChoice::Synthetic => Candidates {
+                        rows: mine,
+                        values: panel,
+                    },
                 }
-                PivotChoice::Synthetic => {
-                    let winners = synthetic_winners(&remaining, v, cfg.seed, t);
-                    let mine: Vec<usize> = winners
-                        .iter()
-                        .copied()
-                        .filter(|&w| (w / v) % q == me.i)
-                        .collect();
-                    let values = store.read_base_rows(bct, &mine);
-                    Candidates { rows: mine, values }
-                }
-            };
+            });
             let combined = ctx.try_butterfly(
                 &pivot_group,
                 encode_candidates(&local, v),
@@ -499,7 +578,7 @@ fn rank_program(
         let payload = if ctx.rank == root {
             let w = winner.as_ref().expect("root ran the butterfly");
             debug_assert_eq!(w.rows.len(), v, "tournament must yield v pivots");
-            let a00 = lu_no_pivot(&w.values);
+            let a00 = ctx.compute("02:tournament", "lu-a00", || lu_no_pivot(&w.values));
             let mut buf = Vec::with_capacity(v * v + v);
             buf.extend(w.rows.iter().map(|&r| r as f64));
             buf.extend_from_slice(a00.as_slice());
@@ -515,42 +594,47 @@ fn rank_program(
         remaining.retain(|r| !pivset.contains(r));
         let rows10 = remaining.clone();
         let n10 = rows10.len();
-        // the live rows now fill the slots past the retired prefix
-        store.retire(&pivots);
+        // the live rows now fill the slots past the retired prefix, and my
+        // pivot rows the slots just before it
+        let piv_slots = store.retire(&pivots);
 
         // ---- Step 4: scatter A10 1D block-row over all ranks ----
         let plan4 = a10_scatter_plan(&rows10, bct, p, v, q, topo);
         let my_lo = chunk_lo(ctx.rank, n10, p);
         let my_hi = chunk_hi(ctx.rank, n10, p);
         let mut a10_local = Matrix::zeros(my_hi - my_lo, v);
-        for (idx, e) in plan4.iter().enumerate() {
-            if e.src == ctx.rank {
-                let rows = &rows10[e.pos0..e.pos0 + e.nrows];
-                let data = store.gather_base_rows(bct, rows);
-                ctx.try_send(e.dst, tag_of(t, 4, idx), data, "04:scatter-a10")?;
-            }
-            if e.dst == ctx.rank {
-                let data = ctx.try_recv_from(e.src, tag_of(t, 4, idx))?;
+        exchange(
+            ctx,
+            plan4.iter(),
+            |e| (e.src, e.dst, e.nrows * v),
+            |e, buf| {
+                for &r in &rows10[e.pos0..e.pos0 + e.nrows] {
+                    buf.extend_from_slice(store.base_slice(r, bct, 0, v));
+                }
+            },
+            |e, data| {
                 let off = (e.pos0 - my_lo) * v;
-                a10_local.as_mut_slice()[off..off + e.nrows * v].copy_from_slice(&data);
-            }
-        }
+                a10_local.as_mut_slice()[off..off + data.len()].copy_from_slice(data);
+            },
+            (t, 4),
+            "04:scatter-a10",
+        )?;
 
         // ---- Step 5: reduce the v pivot rows over the fibers ----
+        // one reduction over my pivot rows x my trailing columns
         let mut sorted_pivots = pivots.clone();
         sorted_pivots.sort_unstable();
         let piv_groups = rows_by_block(&sorted_pivots, v);
-        let mut idx5 = 0;
-        for (br, rows) in &piv_groups {
-            for bc in t + 1..nb {
-                idx5 += 1;
-                if br % q != me.i || bc % q != me.j {
-                    continue;
-                }
-                let tag = tag_of(t, 5, idx5);
-                store.fold_layers(ctx, &fiber, bc, rows, tag, "05:reduce-pivot-rows")?;
-            }
-        }
+        let trailing = store.trailing_col(t)..store.delta.cols();
+        let tag5 = tag_of(t, 5, 0);
+        store.fold_layers(
+            ctx,
+            &fiber,
+            piv_slots,
+            trailing,
+            tag5,
+            "05:reduce-pivot-rows",
+        )?;
 
         // ---- Step 6: scatter A01 1D block-column over all ranks ----
         let m01 = (nb - t - 1) * v;
@@ -561,24 +645,26 @@ fn rank_program(
             let pivot_pos: HashMap<usize, usize> =
                 pivots.iter().enumerate().map(|(pi, &r)| (r, pi)).collect();
             let plan6 = a01_scatter_plan(&piv_groups, t, nb, p, v, m01, topo, q);
-            for (idx, e) in plan6.iter().enumerate() {
-                let rows = &piv_groups[e.group_idx].1;
-                if e.src == ctx.rank {
+            exchange(
+                ctx,
+                plan6.iter(),
+                |e| (e.src, e.dst, e.nrows * e.seg),
+                |e, buf| {
                     // rows of this pivot group, columns col0..col0+seg of bc
-                    let mut data = Vec::with_capacity(rows.len() * e.seg);
-                    for &r in rows {
-                        data.extend_from_slice(store.base_slice(r, e.bc, e.col0, e.seg));
+                    for &r in &piv_groups[e.group_idx].1 {
+                        buf.extend_from_slice(store.base_slice(r, e.bc, e.col0, e.seg));
                     }
-                    ctx.try_send(e.dst, tag_of(t, 6, idx), data, "06:scatter-a01")?;
-                }
-                if e.dst == ctx.rank {
-                    let data = ctx.try_recv_from(e.src, tag_of(t, 6, idx))?;
+                },
+                |e, data| {
                     let off = (e.bc - t - 1) * v + e.col0 - my_clo;
+                    let rows = &piv_groups[e.group_idx].1;
                     for (&r, seg) in rows.iter().zip(data.chunks_exact(e.seg)) {
                         a01_local.row_mut(pivot_pos[&r])[off..off + e.seg].copy_from_slice(seg);
                     }
-                }
-            }
+                },
+                (t, 6),
+                "06:scatter-a01",
+            )?;
         }
 
         // ---- Step 7: FactorizeA10 locally: A10 <- A10 · U00^{-1} ----
@@ -589,38 +675,49 @@ fn rank_program(
         }
 
         // The update layer packs step 11's operands straight off the wire:
-        // `l` holds this rank's live rows in slot order, `u` its trailing
-        // columns. Both are empty off the update layer.
-        let (live, width) = if me.k == kt {
-            (store.live(), store.delta.cols() - store.trailing_col(t))
+        // `l` holds this rank's live rows in slot order, `u_next` block
+        // column t+1 if this rank owns it (the lookahead column), `u_rest`
+        // the trailing columns past it. All are empty off the update layer.
+        let (live, width, next) = if me.k == kt {
+            let trailing = store.trailing_col(t);
+            let owns_next = t + 1 < nb && (t + 1) % q == me.j;
+            (
+                store.live(),
+                store.delta.cols() - trailing,
+                if owns_next { v } else { 0 },
+            )
         } else {
-            (0, 0)
+            (0, 0, 0)
         };
         let mut l = Matrix::zeros(live, v);
-        let mut u = Matrix::zeros(v, width);
+        let mut u_next = Matrix::zeros(v, next);
+        let mut u_rest = Matrix::zeros(v, width - next);
 
         // ---- Step 8: send factored A10 rows to layer kt ----
         let dst_cols = grid_cols_of_trailing(t, nb, q);
         let segs8 = a10_send_segments(&rows10, p, v);
-        let mut idx8 = 0;
-        for e in &segs8 {
-            for &j in &dst_cols {
-                let dst = topo.rank_of(e.br % q, j, kt);
-                idx8 += 1;
-                if e.src == ctx.rank {
-                    let off = (e.pos0 - my_lo) * v;
-                    let data = a10_local.as_slice()[off..off + e.len * v].to_vec();
-                    ctx.try_send(dst, tag_of(t, 8, idx8), data, "08:send-a10")?;
+        let plan8 = segs8.iter().flat_map(|e| {
+            dst_cols
+                .iter()
+                .map(move |&j| (e, topo.rank_of(e.br % q, j, kt)))
+        });
+        exchange(
+            ctx,
+            plan8,
+            |&(e, dst)| (e.src, dst, e.len * v),
+            |&(e, _), buf| {
+                let off = (e.pos0 - my_lo) * v;
+                buf.extend_from_slice(&a10_local.as_slice()[off..off + e.len * v]);
+            },
+            |&(e, _), data| {
+                let rows = &rows10[e.pos0..e.pos0 + e.len];
+                for (&r, vals) in rows.iter().zip(data.chunks_exact(v)) {
+                    l.row_mut(store.live_index(r)).copy_from_slice(vals);
                 }
-                if dst == ctx.rank {
-                    let data = ctx.try_recv_from(e.src, tag_of(t, 8, idx8))?;
-                    let rows = &rows10[e.pos0..e.pos0 + e.len];
-                    for (&r, vals) in rows.iter().zip(data.chunks_exact(v)) {
-                        l.row_mut(store.live_index(r)).copy_from_slice(vals);
-                    }
-                }
-            }
-        }
+            },
+            (t, 8),
+            "08:send-a10",
+        )?;
 
         // ---- Step 9: FactorizeA01 locally: A01 <- L00^{-1} · A01 ----
         // Column-sliced over the shared worker pool: the multi-RHS solve is
@@ -633,37 +730,56 @@ fn rank_program(
         }
 
         // ---- Step 10: send factored A01 columns to layer kt ----
-        let dst_rows = grid_rows_of_live(&live_groups, &pivset, q);
         if m01 > 0 {
+            let dst_rows = grid_rows_of_live(&live_groups, &pivset, q);
             let segs10 = a01_send_segments(t, nb, p, v, m01);
+            let plan10 = segs10.iter().flat_map(|e| {
+                dst_rows
+                    .iter()
+                    .map(move |&i| (e, topo.rank_of(i, e.bc % q, kt)))
+            });
             let trailing = store.trailing_col(t);
-            let mut idx10 = 0;
-            for e in &segs10 {
-                for &i in &dst_rows {
-                    let dst = topo.rank_of(i, e.bc % q, kt);
-                    idx10 += 1;
-                    if e.src == ctx.rank {
-                        let off = (e.bc - t - 1) * v + e.col0 - my_clo;
-                        let mut data = Vec::with_capacity(v * e.seg);
-                        for r in 0..v {
-                            data.extend_from_slice(&a01_local.row(r)[off..off + e.seg]);
-                        }
-                        ctx.try_send(dst, tag_of(t, 10, idx10), data, "10:send-a01")?;
+            exchange(
+                ctx,
+                plan10,
+                |&(e, dst)| (e.src, dst, e.seg * v),
+                |&(e, _), buf| {
+                    let off = (e.bc - t - 1) * v + e.col0 - my_clo;
+                    for r in 0..v {
+                        buf.extend_from_slice(&a01_local.row(r)[off..off + e.seg]);
                     }
-                    if dst == ctx.rank {
-                        let data = ctx.try_recv_from(e.src, tag_of(t, 10, idx10))?;
-                        let off = store.lcol(e.bc) - trailing + e.col0;
-                        for (r, seg) in data.chunks_exact(e.seg).enumerate() {
-                            u.row_mut(r)[off..off + e.seg].copy_from_slice(seg);
-                        }
+                },
+                |&(e, _), data| {
+                    let off = store.lcol(e.bc) - trailing + e.col0;
+                    let (u, off) = if off < next {
+                        (&mut u_next, off)
+                    } else {
+                        (&mut u_rest, off - next)
+                    };
+                    for (r, seg) in data.chunks_exact(e.seg).enumerate() {
+                        u.row_mut(r)[off..off + e.seg].copy_from_slice(seg);
                     }
-                }
-            }
+                },
+                (t, 10),
+                "10:send-a01",
+            )?;
         }
 
         // ---- Step 11: local Schur update into my delta ----
-        if me.k == kt {
-            ctx.compute("11:schur-update", "gemm", || store.schur_update(t, &l, &u));
+        // Lookahead: block column t+1 first, so step t+1's reduction can
+        // leave; the rest waits until then. Each element still gets one
+        // `+= Σ_k l·u` over the same v terms (the column split does not
+        // change GEMM bits).
+        if live > 0 && width > 0 {
+            if next > 0 {
+                let c0 = store.trailing_col(t);
+                ctx.compute("11:schur-update", "gemm", || {
+                    store.schur_update(c0, &l, &u_next)
+                });
+            }
+            if u_rest.cols() > 0 {
+                deferred = Some((l, u_rest));
+            }
         }
 
         // ---- collect this step's shard for assembly after the join ----
@@ -676,6 +792,7 @@ fn rank_program(
             a01: a01_local,
         });
     }
+    debug_assert!(deferred.is_none(), "the last step has no trailing columns");
 
     Ok(shards)
 }
@@ -696,47 +813,6 @@ fn chunk_hi(rank: Rank, len: usize, p: usize) -> usize {
     }
     let chunk = len.div_ceil(p);
     ((rank + 1) * chunk).min(len)
-}
-
-/// Stitch the per-rank, per-step shards into global `P`, `L`, `U`.
-fn assemble_shards(n: usize, v: usize, nb: usize, shards: &[Vec<StepShard>]) -> LuFactors {
-    let mut perm = Vec::with_capacity(n);
-    for step in &shards[0] {
-        perm.extend_from_slice(&step.pivots);
-    }
-    debug_assert_eq!(perm.len(), n);
-    let mut pos_of = vec![usize::MAX; n];
-    for (pos, &r) in perm.iter().enumerate() {
-        pos_of[r] = pos;
-    }
-    let mut l = Matrix::identity(n);
-    let mut u = Matrix::zeros(n, n);
-    for t in 0..nb {
-        let base = t * v;
-        let a00 = shards[0][t].a00.as_ref().expect("rank 0 carries A00");
-        for i in 0..v {
-            let row = a00.row(i);
-            l.row_mut(base + i)[base..base + i].copy_from_slice(&row[..i]);
-            u.row_mut(base + i)[base + i..base + v].copy_from_slice(&row[i..]);
-        }
-        for rank_shards in shards {
-            let shard = &rank_shards[t];
-            for (&rid, vals) in shard
-                .a10_rows
-                .iter()
-                .zip(shard.a10.as_slice().chunks_exact(v))
-            {
-                let pos = pos_of[rid];
-                debug_assert!(pos >= base + v);
-                l.row_mut(pos)[base..base + v].copy_from_slice(vals);
-            }
-            let (c0, w) = (shard.a01_col0, shard.a01.cols());
-            for i in 0..v {
-                u.row_mut(base + i)[c0..c0 + w].copy_from_slice(shard.a01.row(i));
-            }
-        }
-    }
-    LuFactors { perm, l, u }
 }
 
 #[cfg(test)]
@@ -842,11 +918,87 @@ mod tests {
             Ok(_) => panic!("crash plan must fail the run"),
         };
         assert!(t0.elapsed() < Duration::from_secs(5), "must not hang");
-        assert_eq!(err.error, SimnetError::RankCrashed { rank: 5, step: 2 });
+        assert_eq!(
+            err.error,
+            LuCause::Simnet(SimnetError::RankCrashed { rank: 5, step: 2 })
+        );
         assert_eq!(err.step, Some(2));
         // two full steps ran before the crash: their traffic is recorded
         assert!(err.stats.sent_in_phase("02:tournament") > 0);
         assert!(err.stats.sent_in_phase("04:scatter-a10") > 0);
+    }
+
+    #[test]
+    fn out_of_domain_configurations_are_typed_errors() {
+        let a = random_matrix(83, 32);
+        let dense = |v: usize, grid: LuGrid| ConfluxConfig::dense(32, v, grid);
+        let grid = LuGrid::new(8, 2, 2);
+        let mut phantom = dense(4, grid);
+        phantom.mode = Mode::Phantom;
+        let mut swapping = dense(4, grid);
+        swapping.pivot_strategy = PivotStrategy::Swapping;
+        let mut flat = dense(4, grid);
+        flat.bcast = BcastAlgo::Flat;
+        let no_layers = LuGrid {
+            p_total: 4,
+            q: 2,
+            c: 0,
+        };
+        let cases = [
+            (dense(0, grid), &a, "positive"),
+            (dense(5, grid), &a, "divide n"),
+            (dense(4, no_layers), &a, "one layer"),
+            (dense(1, LuGrid::new(2, 1, 2)), &a, "layer count"),
+            (phantom, &a, "Dense-only"),
+            (swapping, &a, "masking"),
+            (flat, &a, "binomial"),
+            (dense(4, LuGrid::new(9, 3, 1)), &a, "power-of-two q"),
+            (dense(4, grid), &Matrix::zeros(32, 16), "n x n"),
+        ];
+        for (cfg, a, what) in cases {
+            let err = factorize_threaded(&cfg, a).expect_err(what);
+            match err.error {
+                LuCause::Precondition(rule) => assert!(rule.contains(what), "{rule} vs {what}"),
+                other => panic!("{what}: expected a precondition error, got {other}"),
+            }
+            assert_eq!(err.step, None);
+            assert_eq!(err.stats.total_sent(), 0);
+        }
+        // checked without the driver, which would otherwise start a thread
+        // per rank if the rule broke
+        let wide = dense(32, LuGrid::new(4352, 16, 17));
+        let rule = precondition_violated(&wide, &a).expect("more ranks than tags");
+        assert!(rule.contains("4096 ranks"), "{rule}");
+    }
+
+    #[test]
+    fn coalesced_plans_fit_the_tag_scheme_where_per_tile_plans_did_not() {
+        // Step 6 at t = 0 for n = 4096, v = 16 on [2, 2, 2], with the pivots
+        // spread over 16 block rows: one tag per plan entry would need more
+        // than the 12 low bits, one tag per destination needs fewer than P.
+        let (n, v, q, t) = (4096, 16, 2, 0);
+        let topo = Grid3D::new(q, q, 2);
+        let (p, nb) = (topo.ranks(), n / v);
+        let pivots: Vec<usize> = (0..v).map(|i| i * 2 * v + i).collect();
+        let piv_groups = rows_by_block(&pivots, v);
+        assert_eq!(piv_groups.len(), 16);
+        let m01 = (nb - t - 1) * v;
+        let plan6 = a01_scatter_plan(&piv_groups, t, nb, p, v, m01, &topo, q);
+        assert_eq!(plan6.len(), 4192);
+        assert!(plan6.len() > MAX_RANKS, "per-entry tags would alias step 7");
+        let tags: HashSet<(Rank, u64)> =
+            plan6.iter().map(|e| (e.src, tag_of(t, 6, e.dst))).collect();
+        assert!(tags.len() <= p * p);
+        // every tag stays inside step 6's band
+        for (_, tag) in tags {
+            assert_eq!(tag >> 12, tag_of(t, 6, 0) >> 12);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the tag scheme")]
+    fn tag_range_check_holds_in_every_build() {
+        tag_of(0, 6, MAX_RANKS);
     }
 
     #[test]

@@ -1032,12 +1032,13 @@ where
     let results: Mutex<Vec<Slot<T>>> = Mutex::new((0..p).map(|_| None).collect());
 
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(p);
         for (rank, receiver) in receivers.into_iter().enumerate() {
             let senders = Arc::clone(&senders);
             let sup = Arc::clone(&sup);
             let f = &f;
             let results = &results;
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 let mut ctx = RankCtx::new(rank, p, senders, receiver, sup, epoch);
                 // `ctx` lives outside the unwind boundary so the stats and
                 // fault log a dying rank accumulated survive the panic.
@@ -1055,7 +1056,16 @@ where
                 // on the sender
                 results.lock().unwrap()[rank] =
                     Some((out, ctx.stats, ctx.retries, log, events, ctx.receiver));
-            });
+            }));
+        }
+        // Join every rank thread, not just wait for its closure as the
+        // scope does: a thread that has not fully exited still holds its
+        // malloc arena, so the next region's threads would open fresh
+        // arenas and the process footprint would grow region by region.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
 

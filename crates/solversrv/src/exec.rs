@@ -9,9 +9,9 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use conflux::{factorize_threaded, ConfluxConfig};
+use conflux::{factorize_threaded, ConfluxConfig, ConfluxRun, LuFactors};
 use denselin::gemm::{auto_threads, gemm_auto};
-use denselin::lu::SingularMatrix;
+use denselin::lu::{permutation_sign, LuFactorization, SingularMatrix};
 use denselin::{cholesky_blocked, lu_parallel_with, solve_refined, Matrix};
 use sparselin::{cg, CgConfig, CgOutcome, CsrMatrix, PrecondSetup, Preconditioner, SparseError};
 
@@ -85,8 +85,8 @@ pub(crate) fn is_symmetric(a: &Matrix) -> bool {
 }
 
 /// Factor `a` according to `kind`: Cholesky for (actually) SPD matrices,
-/// the distributed COnfLUX driver for compatible large cold misses, the
-/// local blocked LU otherwise.
+/// the distributed COnfLUX driver for large cold misses it accepts, the
+/// local LU otherwise.
 pub(crate) fn factor_matrix(
     panel: usize,
     distributed: Option<DistributedConfig>,
@@ -115,26 +115,21 @@ pub(crate) fn factor_matrix(
             Err(_) => spd_fallback = true, // caller lied about SPD: use LU
         }
     }
-    if let Some(d) = distributed {
-        // the threaded driver asserts its preconditions; route around it
-        // (to the local factorization) instead of panicking a worker
-        let compatible = n >= d.min_n
-            && d.grid.q.is_power_of_two()
-            && d.tile >= d.grid.c
-            && d.tile > 0
-            && n.is_multiple_of(d.tile);
-        if compatible {
-            let ccfg = ConfluxConfig::dense(n, d.tile, d.grid);
-            if let Ok(run) = factorize_threaded(&ccfg, a) {
-                if let Some(factors) = run.factors {
-                    return Ok(Factored {
-                        factor: CachedFactor::Lu(factors.to_factorization()),
-                        distributed: true,
-                        spd_fallback,
-                    });
-                }
-            }
-            // fall through to the local path on any distributed failure
+    if let Some(d) = distributed.filter(|d| n >= d.min_n) {
+        // an out-of-domain configuration comes back as a typed error, and
+        // like a failed run it falls through to the local path
+        let ccfg = ConfluxConfig::dense(n, d.tile, d.grid);
+        if let Ok(ConfluxRun {
+            factors: Some(LuFactors { perm, lu }),
+            ..
+        }) = factorize_threaded(&ccfg, a)
+        {
+            let sign = permutation_sign(&perm);
+            return Ok(Factored {
+                factor: CachedFactor::Lu(LuFactorization { lu, perm, sign }),
+                distributed: true,
+                spd_fallback,
+            });
         }
     }
     // Local factorizations (including the cluster shards' failover path)

@@ -43,8 +43,9 @@ pub struct DistributedConfig {
     /// dominate).
     pub min_n: usize,
     /// COnfLUX block size `v`. The distributed path additionally requires
-    /// `n % tile == 0` and `tile ≥ grid.c`; incompatible requests fall
-    /// back to the local blocked LU.
+    /// `n % tile == 0` and `tile ≥ grid.c`; the threaded driver rejects an
+    /// incompatible request with a typed precondition error, and it falls
+    /// back to the local LU like a failed run.
     pub tile: usize,
     /// The `[q, q, c]` processor grid (`q` must be a power of two).
     pub grid: LuGrid,

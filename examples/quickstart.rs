@@ -49,8 +49,8 @@ fn main() {
     let x_true = Matrix::random(&mut rng, n, 1);
     let b = a.matmul(&x_true);
     let mut y = b.gather_rows(&factors.perm);
-    conflux_repro::denselin::trsm::trsm_lower_left(&factors.l, &mut y, true);
-    conflux_repro::denselin::trsm::trsm_upper_left(&factors.u, &mut y, false);
+    conflux_repro::denselin::trsm::trsm_lower_left(&factors.l(), &mut y, true);
+    conflux_repro::denselin::trsm::trsm_upper_left(&factors.u(), &mut y, false);
     let err = y.sub(&x_true).frobenius_norm() / x_true.frobenius_norm();
     println!("\nlinear solve through the distributed factors: relative error {err:.3e}");
     assert!(err < 1e-6);

@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use conflux_repro::baselines::lu2d::{factorize_2d, Lu2dConfig, Variant};
 use conflux_repro::baselines::{factorize_candmc, CandmcConfig};
 use conflux_repro::conflux::{
-    factorize, factorize_threaded, try_factorize, try_factorize_threaded, ConfluxConfig, LuGrid,
-    PivotChoice,
+    factorize, factorize_threaded, try_factorize, try_factorize_threaded, ConfluxConfig, LuCause,
+    LuGrid, PivotChoice,
 };
 use conflux_repro::denselin::SplitMix64;
 use conflux_repro::denselin::{lu_unblocked, Matrix};
@@ -152,7 +152,10 @@ fn threaded_conflux_crash_is_bounded_and_structured() {
         "must return within the deadline, took {:?}",
         t0.elapsed()
     );
-    assert_eq!(err.error, SimnetError::RankCrashed { rank: 3, step: 2 });
+    assert_eq!(
+        err.error,
+        LuCause::Simnet(SimnetError::RankCrashed { rank: 3, step: 2 })
+    );
     assert_eq!(err.step, Some(2));
     // the two completed steps' traffic is preserved for triage
     assert!(err.stats.sent_in_phase("02:tournament") > 0);
@@ -240,8 +243,8 @@ fn all_four_solve_the_same_system() {
         .factors
         .unwrap();
     let mut y = b.gather_rows(&f.perm);
-    conflux_repro::denselin::trsm::trsm_lower_left(&f.l, &mut y, true);
-    conflux_repro::denselin::trsm::trsm_upper_left(&f.u, &mut y, false);
+    conflux_repro::denselin::trsm::trsm_lower_left(&f.l(), &mut y, true);
+    conflux_repro::denselin::trsm::trsm_upper_left(&f.u(), &mut y, false);
     assert!(y.allclose(&x_true, 1e-6), "conflux solve mismatch");
 
     // lu2d

@@ -42,9 +42,10 @@ fn threaded_matches_orchestrated_across_grids() {
 
                     assert_eq!(tf.perm, of.perm, "{label}: pivots");
                     assert_eq!(threaded.stats, orchestrated.stats, "{label}: CommStats");
+                    let (tl, tu) = (tf.l(), tf.u());
                     if c == 1 {
                         assert!(
-                            bits(&tf.l).eq(bits(&of.l)) && bits(&tf.u).eq(bits(&of.u)),
+                            bits(&tl).eq(bits(&of.l())) && bits(&tu).eq(bits(&of.u())),
                             "{label}: factors differ bitwise from the orchestrated run"
                         );
                     }
@@ -52,8 +53,8 @@ fn threaded_matches_orchestrated_across_grids() {
                     assert!(res < 1e-9, "{label}: residual {res:.2e}");
 
                     fnv(&mut hash, tf.perm.iter().map(|&r| r as u64));
-                    fnv(&mut hash, bits(&tf.l));
-                    fnv(&mut hash, bits(&tf.u));
+                    fnv(&mut hash, bits(&tl));
+                    fnv(&mut hash, bits(&tu));
                 }
             }
         }
