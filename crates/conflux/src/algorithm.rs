@@ -224,6 +224,43 @@ impl std::fmt::Display for LuError {
 
 impl std::error::Error for LuError {}
 
+impl LuError {
+    /// A run refused before any rank started: `what` names the violated
+    /// precondition, and nothing was sent.
+    pub(crate) fn precondition(what: &'static str) -> Self {
+        LuError {
+            error: LuCause::Precondition(what),
+            step: None,
+            stats: CommStats::default(),
+            retries: 0,
+        }
+    }
+}
+
+/// The first rule of the domain both COnfLUX drivers share that `cfg` and
+/// `a` violate, if any: `v > 0`, `v | n`, `c > 0`, `v ≥ c`, and a Dense run
+/// has an `n x n` input.
+pub(crate) fn precondition_violated(
+    cfg: &ConfluxConfig,
+    a: Option<&Matrix>,
+) -> Option<&'static str> {
+    let (n, v, c) = (cfg.n, cfg.v, cfg.grid.c);
+    let dense = cfg.mode == Mode::Dense;
+    [
+        (v == 0, "block size v must be positive"),
+        (n % v.max(1) != 0, "v must divide n"),
+        (c == 0, "the grid needs at least one layer"),
+        (v < c, "v must be at least the layer count c"),
+        (dense && a.is_none(), "a Dense run needs an input matrix"),
+        (
+            dense && a.is_some_and(|a| a.shape() != (n, n)),
+            "the input matrix must be n x n",
+        ),
+    ]
+    .into_iter()
+    .find_map(|(violated, what)| violated.then_some(what))
+}
+
 /// What one rank contributes to the factors of one step. Both drivers
 /// collect these and [`assemble`] copies them into the packed `L\U` after
 /// the run; assembly is result collection, not communication the algorithm
@@ -266,7 +303,10 @@ pub fn factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> ConfluxRun {
 
 /// Fallible COnfLUX driver with graceful degradation under injected faults.
 ///
-/// With a zero fault plan this is exactly [`factorize`] (and charges
+/// A configuration outside the domain — `v` zero or not dividing `n`, no
+/// layers, `v < c`, or a Dense run without an `n x n` input — returns
+/// [`LuCause::Precondition`] naming the violated rule before anything is
+/// charged. With a zero fault plan this is exactly [`factorize`] (and charges
 /// byte-identical volumes). Under a plan with crash events:
 ///
 /// * a crash of a replication-layer rank (`k > 0`, requires `c > 1`)
@@ -298,13 +338,11 @@ pub fn factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> ConfluxRun {
 /// assert_eq!(err.step, Some(3));
 /// ```
 pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxRun, LuError> {
+    if let Some(what) = precondition_violated(cfg, a) {
+        return Err(LuError::precondition(what));
+    }
     let (n, v) = (cfg.n, cfg.v);
-    assert!(n % v == 0, "v must divide n");
     let (q, c) = (cfg.grid.q, cfg.grid.c);
-    assert!(
-        v >= c,
-        "blocking parameter v must be at least the layer count c"
-    );
     let topo = cfg.grid.topology();
     let p = topo.ranks();
     let nb = n / v;
@@ -514,7 +552,7 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
         net.compute_all((v * v * m01) as f64 / p as f64, "09:factorize-a01", "trsm");
 
         // ---- Step 10: send factored A01 columns to layer kt ----
-        let dst_rows: Vec<usize> = grid_rows_of_live(&live_groups, &pivset, q);
+        let dst_rows: Vec<usize> = grid_rows_of_live(&rows10, v, q);
         if m01 > 0 {
             let segs10 = a01_send_segments(t, nb, p, v, m01);
             let sends10 = |k: usize| {
@@ -590,20 +628,13 @@ pub(crate) fn grid_cols_of_trailing(t: usize, nb: usize, q: usize) -> Vec<usize>
     cols
 }
 
-/// Grid rows owning at least one live (unmasked, unpivoted) row.
-pub(crate) fn grid_rows_of_live(
-    live_groups: &[(usize, Vec<usize>)],
-    pivset: &HashSet<usize>,
-    q: usize,
-) -> Vec<usize> {
-    let mut rows: Vec<usize> = live_groups
-        .iter()
-        .filter(|(_, rs)| rs.iter().any(|r| !pivset.contains(r)))
-        .map(|(br, _)| br % q)
-        .collect();
-    rows.sort_unstable();
-    rows.dedup();
-    rows
+/// Grid rows owning at least one of the live (unmasked, unpivoted) rows.
+pub(crate) fn grid_rows_of_live(rows: &[usize], v: usize, q: usize) -> Vec<usize> {
+    let mut owns = vec![false; q];
+    for &r in rows {
+        owns[(r / v) % q] = true;
+    }
+    (0..q).filter(|&i| owns[i]).collect()
 }
 
 /// One step-4 transfer: `nrows` consecutive live rows (positions
@@ -1015,6 +1046,37 @@ mod tests {
         let mut p = f.perm.clone();
         p.sort_unstable();
         assert_eq!(p, (0..24).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn out_of_domain_configurations_are_typed_errors() {
+        let grid = LuGrid::new(8, 2, 2);
+        let no_layers = LuGrid {
+            p_total: 4,
+            q: 2,
+            c: 0,
+        };
+        let narrow = Matrix::zeros(16, 8);
+        let cases = [
+            (ConfluxConfig::phantom(16, 0, grid), None, "positive"),
+            (ConfluxConfig::phantom(18, 4, grid), None, "divide n"),
+            (ConfluxConfig::phantom(16, 4, no_layers), None, "one layer"),
+            (ConfluxConfig::phantom(16, 1, grid), None, "layer count"),
+            (ConfluxConfig::dense(16, 4, grid), None, "input matrix"),
+            (ConfluxConfig::dense(16, 4, grid), Some(&narrow), "n x n"),
+        ];
+        for (cfg, a, what) in cases {
+            let err = try_factorize(&cfg, a).expect_err(what);
+            match err.error {
+                LuCause::Precondition(rule) => assert!(rule.contains(what), "{rule} vs {what}"),
+                other => panic!("{what}: expected a precondition error, got {other}"),
+            }
+            assert_eq!(err.step, None);
+            assert_eq!(err.stats.total_sent(), 0, "{what}: nothing may be sent");
+        }
+        // a Phantom run ignores whatever input it is handed
+        let run = try_factorize(&ConfluxConfig::phantom(16, 4, grid), Some(&narrow));
+        assert!(run.is_ok());
     }
 
     #[test]

@@ -24,29 +24,44 @@
 //!
 //! Rank `(i, j, k)` owns block rows `br ≡ i` and block columns `bc ≡ j`
 //! (mod `q`) and keeps them in one contiguous `RankStore`: a
-//! `rows x cols` delta matrix (the Schur-update accumulator of its layer)
-//! plus, on layer 0, a base matrix of the input values; the true value of
-//! an element is `base − Σ_layers delta`. Local columns follow the global
-//! block order, so the trailing block columns of step `t` are always a
-//! column suffix. Rows are addressed through a slot map: when step 3 fixes
-//! the pivots, every pivot row the rank owns is swapped into the *retired*
+//! `rows x cols` delta matrix, the Schur-update accumulator of its layer.
+//! There is no copy of the input: the true value of an element is
+//! `a − Σ_layers delta`, and when a fiber reduction folds a region, the
+//! layer-0 root writes `a − sum` straight from the input into the cells
+//! the fold has just zeroed. Those cells are finished — step 1's block
+//! column and step 5's pivot rows, which no later update reaches — so on
+//! layer 0 a finished cell holds its folded value, and steps 2, 4 and 6
+//! read it from the delta matrix. Local columns follow the global block
+//! order, so the trailing block columns of step `t` are always a column
+//! suffix. Rows are addressed through a slot map: when step 3 fixes the
+//! pivots, every pivot row the rank owns is swapped into the *retired*
 //! prefix of the slots (a local data move, never charged as
-//! communication). The live rows are then exactly the slots past the
-//! prefix and the step's pivot rows the slots just before it, so each
-//! fiber reduction covers one rectangle of the delta matrix, and step 11's
-//! Schur update is an in-place GEMM on the submatrix
-//! `delta[retired.., trailing..]` with the received `A10` rows packed in
-//! slot order and the received `A01` blocks packed side by side.
+//! communication, and only from the step's block column on: the columns
+//! before it are finished or zero on every live row). The live rows are
+//! then exactly the slots past the prefix and the step's pivot rows the
+//! slots just before it, so each fiber reduction covers one rectangle of
+//! the delta matrix, and step 11's Schur update is an in-place GEMM on the
+//! submatrix `delta[retired.., trailing..]` with the received `A10` rows
+//! packed in slot order and the received `A01` blocks packed side by side.
 //!
 //! # Lookahead
 //!
 //! The update layer of step `t` first updates block column `t + 1` (if it
-//! owns it), then enters step `t + 1` and sends its step-1 contribution
-//! before it runs the rest of step `t`'s update, so the pivot search of
-//! step `t + 1` no longer waits for the whole trailing update. Each
-//! element still receives one `+= Σ_k l·u` over the `v` terms in a fixed
-//! order, whatever its slot, tile or column split, so the factors do not
-//! depend on the storage layout or the lookahead (DESIGN.md §17).
+//! owns it) and defers the rest of its update. Where the remainder runs
+//! depends on the rank's role in step `t + 1`:
+//!
+//! - off step `t + 1`'s pivot group, right after the rank's step-1
+//!   contribution has left;
+//! - in the pivot group (the critical path: its members search for the
+//!   pivots and root every fold), after the broadcast of step 3. `retire`
+//!   swaps the carried `l` rows with their slots, the pivot rows are
+//!   updated just before step 5 folds them, and the live rows after step
+//!   10, before the rank's own step 11.
+//!
+//! Each element still receives one `+= Σ_k l·u` per step over the `v`
+//! terms in a fixed order, in step order, whatever its slot, tile, row or
+//! column split, so the factors do not depend on the storage layout or the
+//! lookahead (DESIGN.md §17).
 //!
 //! # Faults
 //!
@@ -62,9 +77,9 @@
 //! masking pivoting only, and `q` must be a power of two (the tournament
 //! butterfly converges — and matches the orchestrated volume formula —
 //! only on power-of-two groups). A configuration outside this domain is a
-//! [`LuCause::Precondition`] error, never a panic.
+//! [`LuCause::Precondition`](crate::LuCause::Precondition) error, never a
+//! panic.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 use denselin::gemm::{auto_threads, gemm_with, GemmConfig};
@@ -73,14 +88,14 @@ use denselin::tournament::{local_candidates, lu_no_pivot, playoff_round, Candida
 use denselin::trsm::{trsm_lower_left_parallel, trsm_upper_right};
 use simnet::error::SimnetResult;
 use simnet::network::BcastAlgo;
-use simnet::stats::{CommStats, Rank};
+use simnet::stats::Rank;
 use simnet::threaded::{run_spmd_supervised, RankCtx, Supervisor};
 use simnet::topology::{Coord3D, Grid3D};
 
 use crate::algorithm::{
     a01_scatter_plan, a01_send_segments, a10_scatter_plan, a10_send_segments, assemble,
-    grid_cols_of_trailing, grid_rows_of_live, ConfluxConfig, ConfluxRun, LuCause, LuError,
-    StepShard,
+    grid_cols_of_trailing, grid_rows_of_live, precondition_violated, ConfluxConfig, ConfluxRun,
+    LuError, StepShard,
 };
 use crate::pivoting::{synthetic_winners, PivotChoice, PivotStrategy};
 use crate::store::rows_by_block;
@@ -88,15 +103,16 @@ use crate::tiles::Mode;
 
 /// One rank's block-cyclic shard of the matrix in contiguous storage; see
 /// the module docs for the layout.
-struct RankStore {
+struct RankStore<'a> {
     v: usize,
     q: usize,
     /// This rank's grid column: local block columns are `bc ≡ j (mod q)`.
     j: usize,
-    /// Schur-update accumulators of this rank's layer, `rows x cols`.
+    /// The `n x n` input, read by the layer-0 root of each fold.
+    input: &'a Matrix,
+    /// Schur-update accumulators of this rank's layer, `rows x cols`; on
+    /// layer 0 a finished cell holds its folded value instead.
     delta: Matrix,
-    /// Input values, `rows x cols`, on layer-0 owners only.
-    base: Option<Matrix>,
     /// Slot of each owned global row (`usize::MAX` for rows not owned).
     slot_of: Vec<usize>,
     /// Global row held in each slot.
@@ -105,9 +121,9 @@ struct RankStore {
     retired: usize,
 }
 
-impl RankStore {
-    /// Carve rank `me`'s shard out of the `n x n` input.
-    fn new(a: &Matrix, v: usize, q: usize, me: Coord3D) -> Self {
+impl<'a> RankStore<'a> {
+    /// Lay out rank `me`'s shard of the `n x n` input.
+    fn new(a: &'a Matrix, v: usize, q: usize, me: Coord3D) -> Self {
         let n = a.rows();
         let owned = |g: usize| (g..n / v).step_by(q);
         let row_at: Vec<usize> = owned(me.i).flat_map(|br| br * v..(br + 1) * v).collect();
@@ -116,22 +132,12 @@ impl RankStore {
         for (slot, &r) in row_at.iter().enumerate() {
             slot_of[r] = slot;
         }
-        let base = (me.k == 0).then(|| {
-            let mut base = Matrix::zeros(row_at.len(), cols);
-            for (slot, &r) in row_at.iter().enumerate() {
-                for (lb, bc) in owned(me.j).enumerate() {
-                    base.row_mut(slot)[lb * v..(lb + 1) * v]
-                        .copy_from_slice(&a.row(r)[bc * v..(bc + 1) * v]);
-                }
-            }
-            base
-        });
         RankStore {
             v,
             q,
             j: me.j,
+            input: a,
             delta: Matrix::zeros(row_at.len(), cols),
-            base,
             slot_of,
             row_at,
             retired: 0,
@@ -144,10 +150,15 @@ impl RankStore {
         bc / self.q * self.v
     }
 
+    /// First local column of the block columns `bc..`.
+    fn col_from(&self, bc: usize) -> usize {
+        (bc + self.q - 1 - self.j) / self.q * self.v
+    }
+
     /// First local column past the block columns `0..=t`: the start of
     /// step `t`'s trailing region.
     fn trailing_col(&self, t: usize) -> usize {
-        (t + self.q - self.j) / self.q * self.v
+        self.col_from(t + 1)
     }
 
     /// Rows not yet eliminated, i.e. slots `retired..`.
@@ -161,28 +172,30 @@ impl RankStore {
         self.slot_of[r] - self.retired
     }
 
-    /// Columns `off..off + len` of block column `bc` of base row `r`.
-    fn base_slice(&self, r: usize, bc: usize, off: usize, len: usize) -> &[f64] {
+    /// Columns `off..off + len` of block column `bc` of row `r`, a
+    /// finished (folded) region on a layer-0 rank.
+    fn finished(&self, r: usize, bc: usize, off: usize, len: usize) -> &[f64] {
         let c0 = self.lcol(bc) + off;
-        let base = self.base.as_ref().expect("base lives on layer 0");
-        &base.row(self.slot_of[r])[c0..c0 + len]
+        &self.delta.row(self.slot_of[r])[c0..c0 + len]
     }
 
-    /// Current base values of `rows` in block column `bc`, as a
+    /// The finished values of `rows` in block column `bc`, as a
     /// `rows.len() x v` panel.
-    fn read_base_rows(&self, bc: usize, rows: &[usize]) -> Matrix {
+    fn read_finished_rows(&self, bc: usize, rows: &[usize]) -> Matrix {
         let mut out = Vec::with_capacity(rows.len() * self.v);
         for &r in rows {
-            out.extend_from_slice(self.base_slice(r, bc, 0, self.v));
+            out.extend_from_slice(self.finished(r, bc, 0, self.v));
         }
         Matrix::from_vec(rows.len(), self.v, out)
     }
 
-    /// Fold every layer's delta over the rectangle `slots x cols` into the
-    /// base: one sum over the layer fiber when `c > 1`, the whole rectangle
-    /// in one contribution, then `base -= sum` on the layer-0 owner. The
-    /// deltas are zeroed on every layer. Each element's sum runs over the
-    /// same binomial tree whatever else shares the message.
+    /// Fold every layer's delta over the rectangle `slots x cols` (whole
+    /// local blocks): one sum over the layer fiber when `c > 1`, the whole
+    /// rectangle in one contribution, and the deltas are zeroed on every
+    /// layer. The layer-0 root then writes `input − sum` into the zeroed
+    /// cells, which are finished: no later update reaches them. Each
+    /// element's sum runs over the same binomial tree whatever else shares
+    /// the message.
     fn fold_layers(
         &mut self,
         ctx: &mut RankCtx,
@@ -207,10 +220,16 @@ impl RankStore {
             Some(contrib)
         };
         if let Some(sum) = folded {
-            let base = self.base.as_mut().expect("base lives on layer 0");
+            let (v, q, j) = (self.v, self.q, self.j);
+            let lb0 = cols.start / v;
             for (s, part) in slots.zip(sum.chunks_exact(cols.len())) {
-                for (b, x) in base.row_mut(s)[cols.clone()].iter_mut().zip(part) {
-                    *b -= x;
+                let input = self.input.row(self.row_at[s]);
+                let cells = self.delta.row_mut(s)[cols.clone()].chunks_exact_mut(v);
+                for (lb, (cell, x)) in (lb0..).zip(cells.zip(part.chunks_exact(v))) {
+                    let bc = lb * q + j;
+                    for ((d, &a), &x) in cell.iter_mut().zip(&input[bc * v..]).zip(x) {
+                        *d = a - x;
+                    }
                 }
             }
         }
@@ -218,18 +237,29 @@ impl RankStore {
     }
 
     /// Move every owned row of `pivots` into the retired prefix; returns
-    /// the slots they now fill.
-    fn retire(&mut self, pivots: &[usize]) -> Range<usize> {
+    /// the slots they now fill. Only the columns `c0..` move: the columns
+    /// before them are finished or zero on every live row. A `carried` `l`
+    /// packed for the current live slots (row `s − retired` for slot `s`)
+    /// gets the same row swaps.
+    fn retire(
+        &mut self,
+        pivots: &[usize],
+        c0: usize,
+        mut carried: Option<&mut Matrix>,
+    ) -> Range<usize> {
         let first = self.retired;
+        if let Some(l) = carried.as_deref() {
+            debug_assert_eq!(l.rows(), self.live(), "carried l must cover the live slots");
+        }
         for &r in pivots {
             let slot = self.slot_of[r];
             if slot == usize::MAX {
                 continue;
             }
             let dst = self.retired;
-            self.delta.swap_rows(slot, dst);
-            if let Some(base) = self.base.as_mut() {
-                base.swap_rows(slot, dst);
+            swap_row_tails(&mut self.delta, slot, dst, c0);
+            if let Some(l) = carried.as_deref_mut() {
+                l.swap_rows(slot - first, dst - first);
             }
             let other = self.row_at[dst];
             self.row_at.swap(slot, dst);
@@ -240,12 +270,32 @@ impl RankStore {
         first..self.retired
     }
 
-    /// Step 11 on the columns `c0..c0 + u.cols()`: `delta[live, ..] += l ·
-    /// u` in place, with `l` holding the live rows in slot order.
-    fn schur_update(&mut self, c0: usize, l: &Matrix, u: &Matrix) {
-        let at = (self.retired, c0);
+    /// Step 11 on the `l.rows() x u.cols()` region at `(r0, c0)`:
+    /// `delta[r0.., c0..] += l · u` in place, with `l` holding the rows of
+    /// the slots `r0..` in slot order.
+    fn schur_update(&mut self, at: (usize, usize), l: &Matrix, u: &Matrix) {
         gemm_with(&mut self.delta, at, 1.0, l, u, 1.0, &GemmConfig::serial());
     }
+}
+
+/// Exchange the columns `c0..` of rows `a` and `b` of `m`; the columns
+/// before `c0` stay where they are.
+fn swap_row_tails(m: &mut Matrix, a: usize, b: usize, c0: usize) {
+    if a == b {
+        return;
+    }
+    let cols = m.cols();
+    let (lo, hi) = (a.min(b), a.max(b));
+    let (head, tail) = m.as_mut_slice().split_at_mut(hi * cols);
+    head[lo * cols + c0..(lo + 1) * cols].swap_with_slice(&mut tail[c0..cols]);
+}
+
+/// The part of one step's Schur update a rank runs after entering the next
+/// step: `u` holds the trailing columns past the lookahead column, `l` one
+/// row per live slot at the time it was packed, in slot order.
+struct Remainder {
+    l: Matrix,
+    u: Matrix,
 }
 
 /// Ranks the tag scheme can address: the low 12 bits of a tag.
@@ -321,36 +371,32 @@ fn merge_synthetic(a: &Candidates, b: &Candidates, winners: &[usize], v: usize) 
 }
 
 /// The first precondition of the threaded driver that `cfg` and `a`
-/// violate, if any.
-fn precondition_violated(cfg: &ConfluxConfig, a: &Matrix) -> Option<&'static str> {
-    let (n, v) = (cfg.n, cfg.v);
+/// violate, if any: the rules both drivers share, then this driver's own.
+fn threaded_precondition_violated(cfg: &ConfluxConfig, a: &Matrix) -> Option<&'static str> {
     let (q, c) = (cfg.grid.q, cfg.grid.c);
-    [
-        (v == 0, "block size v must be positive"),
-        (n % v.max(1) != 0, "v must divide n"),
-        (c == 0, "the grid needs at least one layer"),
-        (v < c, "v must be at least the layer count c"),
-        (cfg.mode != Mode::Dense, "the threaded driver is Dense-only"),
-        (
-            cfg.pivot_strategy != PivotStrategy::Masking,
-            "the threaded driver implements masking pivoting only",
-        ),
-        (
-            cfg.bcast != BcastAlgo::Binomial,
-            "threaded collectives are binomial-tree only",
-        ),
-        (
-            !q.is_power_of_two(),
-            "the threaded tournament butterfly needs a power-of-two q",
-        ),
-        (
-            q * q * c > MAX_RANKS,
-            "the message tags address at most 4096 ranks",
-        ),
-        (a.shape() != (n, n), "the input matrix must be n x n"),
-    ]
-    .into_iter()
-    .find_map(|(violated, what)| violated.then_some(what))
+    precondition_violated(cfg, Some(a)).or_else(|| {
+        [
+            (cfg.mode != Mode::Dense, "the threaded driver is Dense-only"),
+            (
+                cfg.pivot_strategy != PivotStrategy::Masking,
+                "the threaded driver implements masking pivoting only",
+            ),
+            (
+                cfg.bcast != BcastAlgo::Binomial,
+                "threaded collectives are binomial-tree only",
+            ),
+            (
+                !q.is_power_of_two(),
+                "the threaded tournament butterfly needs a power-of-two q",
+            ),
+            (
+                q * q * c > MAX_RANKS,
+                "the message tags address at most 4096 ranks",
+            ),
+        ]
+        .into_iter()
+        .find_map(|(violated, what)| violated.then_some(what))
+    })
 }
 
 /// Run COnfLUX as a supervised SPMD program over `p = q*q*c` rank threads.
@@ -362,22 +408,18 @@ fn precondition_violated(cfg: &ConfluxConfig, a: &Matrix) -> Option<&'static str
 /// and the partial statistics if any rank crashed, timed out or panicked.
 ///
 /// A configuration outside the driver's domain — `v` zero or not dividing
-/// `n`, `v < c`, non-Dense mode, swapping pivoting, a non-binomial
-/// broadcast, a `q` that is not a power of two, more than 4096 ranks, or an
-/// input that is not `n x n` — returns [`LuCause::Precondition`] naming the
+/// `n`, no layers, `v < c`, an input that is not `n x n`, non-Dense mode,
+/// swapping pivoting, a non-binomial broadcast, a `q` that is not a power
+/// of two, or more than 4096 ranks — returns
+/// [`LuCause::Precondition`](crate::LuCause::Precondition) naming the
 /// violated rule before any rank starts.
 pub fn try_factorize_threaded(
     cfg: &ConfluxConfig,
     a: &Matrix,
     sup: Supervisor,
 ) -> Result<ConfluxRun, LuError> {
-    if let Some(what) = precondition_violated(cfg, a) {
-        return Err(LuError {
-            error: LuCause::Precondition(what),
-            step: None,
-            stats: CommStats::default(),
-            retries: 0,
-        });
+    if let Some(what) = threaded_precondition_violated(cfg, a) {
+        return Err(LuError::precondition(what));
     }
     let (n, v) = (cfg.n, cfg.v);
     let topo = cfg.grid.topology();
@@ -498,15 +540,17 @@ fn rank_program(
     let p = ctx.p;
     let me = topo.coord_of(ctx.rank);
 
-    // ---- distribute: carve my block-cyclic shard out of the input ----
+    // ---- distribute: lay out my block-cyclic shard of the input ----
     let mut store = RankStore::new(a, v, q, me);
     let fiber = topo.layer_fiber(me.i, me.j);
 
     let mut remaining: Vec<usize> = (0..n).collect();
+    // position of each row among the pivots of the step that eliminated
+    // it, `usize::MAX` while the row is live
+    let mut pivot_pos = vec![usize::MAX; n];
     let mut shards: Vec<StepShard> = Vec::with_capacity(nb);
-    // the lookahead's deferred part of the previous step's Schur update:
-    // `l` and the trailing columns past the next block column
-    let mut deferred: Option<(Matrix, Matrix)> = None;
+    // the lookahead's deferred part of the previous step's Schur update
+    let mut deferred: Option<Remainder> = None;
 
     for t in 0..nb {
         // a planned crash fires here, between steps, as a structured error
@@ -515,10 +559,11 @@ fn rank_program(
         let kt = t % c;
         let bct = t;
         let col_j = bct % q;
+        let pivot_group = topo.column_group(col_j, 0);
+        let in_pivot_group = me.j == col_j && me.k == 0;
 
         // ---- Step 1: reduce the current block column over the fibers ----
         // one reduction over all of this rank's live rows
-        let live_groups = rows_by_block(&remaining, v);
         if me.j == col_j {
             let (c0, slots) = (store.lcol(bct), store.retired..store.row_at.len());
             let tag1 = tag_of(t, 1, 0);
@@ -526,24 +571,30 @@ fn rank_program(
         }
 
         // ---- the rest of step t-1's Schur update, now that step 1 has
-        // sent its contribution ----
-        if let Some((l, u)) = deferred.take() {
-            let c0 = store.delta.cols() - u.cols();
-            ctx.compute("11:schur-update", "gemm", || store.schur_update(c0, &l, &u));
+        // sent its contribution; the pivot group carries it past its
+        // pivot search instead (before steps 5 and 11 below) ----
+        if !in_pivot_group {
+            if let Some(rem) = deferred.take() {
+                let at = (store.retired, store.delta.cols() - rem.u.cols());
+                ctx.compute("11:schur-update", "gemm", || {
+                    store.schur_update(at, &rem.l, &rem.u)
+                });
+            }
         }
 
         // ---- Step 2: tournament pivoting on the column group ----
-        let pivot_group = topo.column_group(col_j, 0);
-        let in_pivot_group = me.j == col_j && me.k == 0;
         let mut winner: Option<Candidates> = None;
         if in_pivot_group {
             let local = ctx.compute("02:tournament", "pivot-search", || {
-                let mine = match cfg.pivot_choice {
-                    PivotChoice::Tournament => remaining.clone(),
-                    PivotChoice::Synthetic => synthetic_winners(&remaining, v, cfg.seed, t),
+                let owned = |r: &usize| (r / v) % q == me.i;
+                let mine: Vec<usize> = match cfg.pivot_choice {
+                    PivotChoice::Tournament => remaining.iter().copied().filter(owned).collect(),
+                    PivotChoice::Synthetic => {
+                        let winners = synthetic_winners(&remaining, v, cfg.seed, t);
+                        winners.into_iter().filter(owned).collect()
+                    }
                 };
-                let mine: Vec<usize> = mine.into_iter().filter(|&r| (r / v) % q == me.i).collect();
-                let panel = store.read_base_rows(bct, &mine);
+                let panel = store.read_finished_rows(bct, &mine);
                 match cfg.pivot_choice {
                     PivotChoice::Tournament => local_candidates(&panel, &mine, v),
                     PivotChoice::Synthetic => Candidates {
@@ -590,16 +641,21 @@ fn rank_program(
         let pivots: Vec<usize> = buf[..v].iter().map(|&r| r as usize).collect();
         let a00 = Matrix::from_vec(v, v, buf[v..v + v * v].to_vec());
 
-        let pivset: HashSet<usize> = pivots.iter().copied().collect();
-        remaining.retain(|r| !pivset.contains(r));
-        let rows10 = remaining.clone();
+        for (pi, &r) in pivots.iter().enumerate() {
+            pivot_pos[r] = pi;
+        }
+        remaining.retain(|&r| pivot_pos[r] == usize::MAX);
+        let rows10 = &remaining[..];
         let n10 = rows10.len();
         // the live rows now fill the slots past the retired prefix, and my
-        // pivot rows the slots just before it
-        let piv_slots = store.retire(&pivots);
+        // pivot rows the slots just before it; a carried remainder's rows
+        // follow their slots
+        let carried = deferred.as_mut().map(|rem| &mut rem.l);
+        let piv_slots = store.retire(&pivots, store.col_from(t), carried);
+        let my_pivots = piv_slots.len();
 
         // ---- Step 4: scatter A10 1D block-row over all ranks ----
-        let plan4 = a10_scatter_plan(&rows10, bct, p, v, q, topo);
+        let plan4 = a10_scatter_plan(rows10, bct, p, v, q, topo);
         let my_lo = chunk_lo(ctx.rank, n10, p);
         let my_hi = chunk_hi(ctx.rank, n10, p);
         let mut a10_local = Matrix::zeros(my_hi - my_lo, v);
@@ -609,7 +665,7 @@ fn rank_program(
             |e| (e.src, e.dst, e.nrows * v),
             |e, buf| {
                 for &r in &rows10[e.pos0..e.pos0 + e.nrows] {
-                    buf.extend_from_slice(store.base_slice(r, bct, 0, v));
+                    buf.extend_from_slice(store.finished(r, bct, 0, v));
                 }
             },
             |e, data| {
@@ -619,6 +675,15 @@ fn rank_program(
             (t, 4),
             "04:scatter-a10",
         )?;
+
+        // a carried remainder brings the pivot rows up to date first
+        if let Some(rem) = deferred.as_ref().filter(|_| my_pivots > 0) {
+            let l = rem.l.block(0, 0, my_pivots, v);
+            let at = (piv_slots.start, store.delta.cols() - rem.u.cols());
+            ctx.compute("11:schur-update", "gemm", || {
+                store.schur_update(at, &l, &rem.u)
+            });
+        }
 
         // ---- Step 5: reduce the v pivot rows over the fibers ----
         // one reduction over my pivot rows x my trailing columns
@@ -642,8 +707,6 @@ fn rank_program(
         let my_chi = chunk_hi(ctx.rank, m01, p);
         let mut a01_local = Matrix::zeros(v, my_chi - my_clo);
         if m01 > 0 {
-            let pivot_pos: HashMap<usize, usize> =
-                pivots.iter().enumerate().map(|(pi, &r)| (r, pi)).collect();
             let plan6 = a01_scatter_plan(&piv_groups, t, nb, p, v, m01, topo, q);
             exchange(
                 ctx,
@@ -652,14 +715,14 @@ fn rank_program(
                 |e, buf| {
                     // rows of this pivot group, columns col0..col0+seg of bc
                     for &r in &piv_groups[e.group_idx].1 {
-                        buf.extend_from_slice(store.base_slice(r, e.bc, e.col0, e.seg));
+                        buf.extend_from_slice(store.finished(r, e.bc, e.col0, e.seg));
                     }
                 },
                 |e, data| {
                     let off = (e.bc - t - 1) * v + e.col0 - my_clo;
                     let rows = &piv_groups[e.group_idx].1;
                     for (&r, seg) in rows.iter().zip(data.chunks_exact(e.seg)) {
-                        a01_local.row_mut(pivot_pos[&r])[off..off + e.seg].copy_from_slice(seg);
+                        a01_local.row_mut(pivot_pos[r])[off..off + e.seg].copy_from_slice(seg);
                     }
                 },
                 (t, 6),
@@ -695,7 +758,7 @@ fn rank_program(
 
         // ---- Step 8: send factored A10 rows to layer kt ----
         let dst_cols = grid_cols_of_trailing(t, nb, q);
-        let segs8 = a10_send_segments(&rows10, p, v);
+        let segs8 = a10_send_segments(rows10, p, v);
         let plan8 = segs8.iter().flat_map(|e| {
             dst_cols
                 .iter()
@@ -731,7 +794,7 @@ fn rank_program(
 
         // ---- Step 10: send factored A01 columns to layer kt ----
         if m01 > 0 {
-            let dst_rows = grid_rows_of_live(&live_groups, &pivset, q);
+            let dst_rows = grid_rows_of_live(rows10, v, q);
             let segs10 = a01_send_segments(t, nb, p, v, m01);
             let plan10 = segs10.iter().flat_map(|e| {
                 dst_rows
@@ -765,6 +828,19 @@ fn rank_program(
             )?;
         }
 
+        // ---- a carried remainder updates the live rows, before this
+        // step's own update reaches them ----
+        if let Some(Remainder { l: carried, u }) = deferred.take() {
+            let rest = carried.rows() - my_pivots;
+            let l = if my_pivots > 0 {
+                carried.block(my_pivots, 0, rest, v)
+            } else {
+                carried
+            };
+            let at = (store.retired, store.delta.cols() - u.cols());
+            ctx.compute("11:schur-update", "gemm", || store.schur_update(at, &l, &u));
+        }
+
         // ---- Step 11: local Schur update into my delta ----
         // Lookahead: block column t+1 first, so step t+1's reduction can
         // leave; the rest waits until then. Each element still gets one
@@ -772,13 +848,13 @@ fn rank_program(
         // change GEMM bits).
         if live > 0 && width > 0 {
             if next > 0 {
-                let c0 = store.trailing_col(t);
+                let at = (store.retired, store.trailing_col(t));
                 ctx.compute("11:schur-update", "gemm", || {
-                    store.schur_update(c0, &l, &u_next)
+                    store.schur_update(at, &l, &u_next)
                 });
             }
             if u_rest.cols() > 0 {
-                deferred = Some((l, u_rest));
+                deferred = Some(Remainder { l, u: u_rest });
             }
         }
 
@@ -818,10 +894,11 @@ fn chunk_hi(rank: Rank, len: usize, p: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{factorize, try_factorize};
+    use crate::algorithm::{factorize, try_factorize, LuCause};
     use crate::grid::LuGrid;
     use denselin::SplitMix64;
     use simnet::{FaultPlan, SimnetError};
+    use std::collections::HashSet;
     use std::time::Duration;
 
     fn random_matrix(seed: u64, n: usize) -> Matrix {
@@ -967,7 +1044,7 @@ mod tests {
         // checked without the driver, which would otherwise start a thread
         // per rank if the rule broke
         let wide = dense(32, LuGrid::new(4352, 16, 17));
-        let rule = precondition_violated(&wide, &a).expect("more ranks than tags");
+        let rule = threaded_precondition_violated(&wide, &a).expect("more ranks than tags");
         assert!(rule.contains("4096 ranks"), "{rule}");
     }
 
@@ -999,6 +1076,56 @@ mod tests {
     #[should_panic(expected = "does not fit the tag scheme")]
     fn tag_range_check_holds_in_every_build() {
         tag_of(0, 6, MAX_RANKS);
+    }
+
+    #[test]
+    fn retire_keeps_each_carried_row_with_its_slot() {
+        // rank (1, 0, 0) of a q = 2 grid owns block rows 1 and 3 of n = 16
+        let (n, v, q) = (16, 4, 2);
+        let a = random_matrix(84, n);
+        let mut store = RankStore::new(&a, v, q, Coord3D { i: 1, j: 0, k: 0 });
+        assert_eq!(store.row_at, [4, 5, 6, 7, 12, 13, 14, 15]);
+        // step 0: two of the pivots are owned here
+        assert_eq!(store.retire(&[0, 6, 9, 13], store.col_from(0), None), 0..2);
+        // a remainder packed now tags each live slot's row with its global row
+        let tag = |r: usize| Matrix::from_fn(1, v, |_, c| (r * v + c) as f64);
+        let mut l = Matrix::zeros(store.live(), v);
+        for s in store.retired..store.row_at.len() {
+            l.row_mut(s - store.retired)
+                .copy_from_slice(tag(store.row_at[s]).row(0));
+        }
+        let first = store.retired;
+        let piv = store.retire(&[15, 2, 5, 8], store.col_from(1), Some(&mut l));
+        assert_eq!(piv, 2..4);
+        assert_eq!(&store.row_at[piv], [15, 5]);
+        for s in first..store.row_at.len() {
+            let r = store.row_at[s];
+            assert_eq!(store.slot_of[r], s);
+            assert_eq!(l.row(s - first), tag(r).row(0), "slot {s} holds row {r}");
+        }
+    }
+
+    #[test]
+    fn column_limited_swap_matches_a_full_swap_from_c0_on() {
+        let m = Matrix::random(&mut SplitMix64::new(85), 5, 7);
+        for (a, b, c0) in [(0, 3, 0), (3, 0, 2), (1, 4, 6), (4, 1, 7), (2, 2, 3)] {
+            let mut full = m.clone();
+            full.swap_rows(a, b);
+            let mut tails = m.clone();
+            swap_row_tails(&mut tails, a, b, c0);
+            for r in 0..m.rows() {
+                assert_eq!(
+                    tails.row(r)[c0..],
+                    full.row(r)[c0..],
+                    "({a}, {b}, {c0}) row {r}"
+                );
+                assert_eq!(
+                    tails.row(r)[..c0],
+                    m.row(r)[..c0],
+                    "({a}, {b}, {c0}) row {r}"
+                );
+            }
+        }
     }
 
     #[test]
