@@ -38,6 +38,3 @@ pub use lu2d::{factorize_2d, Lu2dConfig, Lu2dRun, Variant};
 
 pub mod lu1d;
 pub use lu1d::{factorize_1d_threaded, Lu1dRun};
-
-pub mod lu2d_threaded;
-pub use lu2d_threaded::{factorize_2d_threaded, Lu2dThreadedRun};

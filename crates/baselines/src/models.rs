@@ -5,11 +5,13 @@
 //! | LibSci   | 2D panel      | `N²/√P + O(N²/P)`                 |
 //! | SLATE    | 2D block      | `N²/√P + O(N²/P)`                 |
 //! | CANDMC   | nested 2.5D   | `5N³/(P√M) + O(N²/(P√M))` \[56\]    |
-//! | COnfLUX  | 1D/2.5D       | `N³/(P√M) + O(N²/(P√M))`          |
+//! | COnfLUX  | 1D/2.5D       | `N³/(P√M) + O(N²/P)`              |
 //!
 //! All functions return **elements per rank**; multiply by
 //! [`simnet::stats::ELEMENT_BYTES`] for bytes, and by `P` for the totals
 //! Table 2 prints.
+
+use conflux::model::conflux_paper_form;
 
 /// LibSci (Cray ScaLAPACK) model: `N²/√P` leading term plus the
 /// swap/panel lower-order terms.
@@ -27,24 +29,20 @@ pub fn candmc_per_rank(n: f64, p: f64, m: f64) -> f64 {
     5.0 * n * n * n / (p * m.sqrt()) + n * n / (p * m.sqrt()) * 8.0
 }
 
-/// COnfLUX model (Lemma 10).
-pub fn conflux_per_rank(n: f64, p: f64, m: f64) -> f64 {
-    n * n * n / (p * m.sqrt()) + n * n / p
-}
-
 /// Memory per rank in the paper's Fig. 6 regime: enough for maximum
 /// replication, `M = N²/P^(2/3)` (so that `c = P^(1/3)`).
 pub fn fig6_memory(n: f64, p: f64) -> f64 {
     n * n / p.powf(2.0 / 3.0)
 }
 
-/// All four models at once: `(libsci, slate, candmc, conflux)` per rank.
+/// All four models at once: `(libsci, slate, candmc, conflux)` per rank;
+/// COnfLUX's is the Lemma-10 form [`conflux_paper_form`].
 pub fn all_models_per_rank(n: f64, p: f64, m: f64) -> (f64, f64, f64, f64) {
     (
         libsci_per_rank(n, p),
         slate_per_rank(n, p),
         candmc_per_rank(n, p, m),
-        conflux_per_rank(n, p, m),
+        conflux_paper_form(n, p, m),
     )
 }
 
@@ -129,7 +127,7 @@ mod tests {
         let per = |p: f64| {
             let n = 3200.0 * p.powf(1.0 / 3.0);
             let m = fig6_memory(n, p);
-            (conflux_per_rank(n, p, m), libsci_per_rank(n, p))
+            (conflux_paper_form(n, p, m), libsci_per_rank(n, p))
         };
         let (c64, l64) = per(64.0);
         let (c4096, l4096) = per(4096.0);

@@ -215,6 +215,58 @@ mod tests {
     }
 
     #[test]
+    fn paper_configurations_pick_pinned_grids() {
+        // every (P, N) that table2, fig6a, fig6b and fig7 measure, with the
+        // [q, q, c] grid `choose_grid` picks in the Fig. 6 memory regime; a
+        // model change that moves a paper grid shows up as a diff here
+        let table2 = [
+            (64, 4096, [4, 4, 4]),
+            (1024, 4096, [13, 13, 6]),
+            (64, 16384, [4, 4, 4]),
+            (1024, 16384, [13, 13, 6]),
+        ];
+        let fig6a = [
+            (4, 16384, [2, 2, 1]),
+            (8, 16384, [2, 2, 2]),
+            (16, 16384, [4, 4, 1]),
+            (32, 16384, [4, 4, 2]),
+            (64, 16384, [4, 4, 4]),
+            (128, 16384, [8, 8, 2]),
+            (256, 16384, [8, 8, 4]),
+            (512, 16384, [10, 10, 5]),
+            (1024, 16384, [13, 13, 6]),
+        ];
+        let fig6b = [
+            (8, 6400, [2, 2, 2]),
+            (27, 9600, [3, 3, 3]),
+            (64, 12800, [4, 4, 4]),
+            (125, 16000, [5, 5, 5]),
+            (216, 19200, [6, 6, 6]),
+            (512, 25600, [10, 10, 5]),
+            (1000, 32000, [14, 14, 5]),
+        ];
+        let fig7 = [4096, 8192, 16384].into_iter().flat_map(|n| {
+            [
+                (16, n, [4, 4, 1]),
+                (64, n, [4, 4, 4]),
+                (256, n, [8, 8, 4]),
+                (1024, n, [13, 13, 6]),
+            ]
+        });
+        let measured = table2.into_iter().chain(fig6a).chain(fig6b).chain(fig7);
+        for (p, n, want) in measured {
+            let g = choose_grid(p, n, fig6_memory_elems(n, p));
+            assert_eq!([g.q, g.q, g.c], want, "p={p} n={n}");
+        }
+        // the ablations bin's grid-optimization case: P = 60, N = 1024,
+        // with its own (truncating) memory formula
+        let (p, n) = (60, 1024);
+        let m = ((n * n) as f64 / (p as f64).powf(2.0 / 3.0)) as usize;
+        let g = choose_grid(p, n, m);
+        assert_eq!([g.q, g.q, g.c], [5, 5, 2]);
+    }
+
+    #[test]
     fn measurement_units() {
         let m = Measurement {
             implementation: Implementation::Conflux,

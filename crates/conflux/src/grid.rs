@@ -8,6 +8,8 @@
 
 use simnet::topology::{icbrt, isqrt, Grid3D};
 
+use crate::model::conflux_volume_per_rank;
+
 /// A selected COnfLUX processor grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LuGrid {
@@ -49,28 +51,15 @@ impl LuGrid {
     }
 }
 
-/// Modeled communication volume per rank for a `[q, q, c]` grid on an
-/// `n x n` factorization (elements). Derived from Lemma 10 with
-/// `√M = n/q`: per-rank volume `≈ n³/(P√M) = n²/(q·c)`, plus the panel
-/// scatters (`n²/P`) and the fiber reductions, which grow with the layer
-/// count (`≈ (c−1)·n²/P`) — without the reduction term the search
-/// over-replicates.
-pub fn model_cost_per_rank(n: usize, q: usize, c: usize) -> f64 {
-    let n = n as f64;
-    let p = (q * q * c) as f64;
-    let leading = n * n / (q as f64 * c as f64);
-    let scatters = n * n / p;
-    let reductions = (c as f64 - 1.0) * n * n / p;
-    leading + scatters + reductions
-}
-
 /// Choose the `[q, q, c]` grid for `p` ranks, an `n x n` matrix, and at
 /// most `m` elements of memory per rank.
 ///
 /// Feasibility requires `n²/q² ≤ m` (each rank must hold its share of one
-/// replica). Among feasible grids the modeled per-rank volume is minimized;
-/// `c` is capped at `⌊p^(1/3)⌋` (further replication cannot help LU, as in
-/// the paper's experiments where `c = P^(1/3)`).
+/// replica). Among feasible grids the modeled per-rank volume
+/// ([`conflux_volume_per_rank`]) is minimized; its fiber-reduction term
+/// grows with `c` and keeps the search from over-replicating. `c` is capped
+/// at `⌊p^(1/3)⌋` (further replication cannot help LU, as in the paper's
+/// experiments where `c = P^(1/3)`).
 ///
 /// # Panics
 /// Panics if even the largest grid cannot satisfy the memory bound.
@@ -84,8 +73,8 @@ pub fn choose_grid(p: usize, n: usize, m: usize) -> LuGrid {
             continue; // does not fit in memory
         }
         let c = (p / (q * q)).min(c_cap).max(1);
-        let cost = model_cost_per_rank(n, q, c);
         let grid = LuGrid { p_total: p, q, c };
+        let cost = conflux_volume_per_rank(n, &grid);
         if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
             best = Some((cost, grid));
         }
@@ -93,12 +82,6 @@ pub fn choose_grid(p: usize, n: usize, m: usize) -> LuGrid {
     best.map(|(_, g)| g).unwrap_or_else(|| {
         panic!("no feasible grid: p={p} n={n} m={m} (need n²/q² ≤ m for some q ≤ √p)")
     })
-}
-
-/// The greedy all-ranks 2D grid (what LibSci/SLATE-style libraries do):
-/// `pr x pc` with `pr·pc = p` as square as possible, `c = 1`.
-pub fn greedy_2d_grid(p: usize) -> (usize, usize) {
-    simnet::topology::squarest_2d(p)
 }
 
 #[cfg(test)]
@@ -158,12 +141,5 @@ mod tests {
     #[should_panic(expected = "no feasible grid")]
     fn impossible_memory_panics() {
         let _ = choose_grid(4, 1 << 16, 16);
-    }
-
-    #[test]
-    fn model_cost_decreases_with_more_ranks() {
-        let a = model_cost_per_rank(4096, 4, 2);
-        let b = model_cost_per_rank(4096, 8, 4);
-        assert!(b < a);
     }
 }

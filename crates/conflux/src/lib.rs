@@ -45,14 +45,10 @@ pub use algorithm::{
     factorize, try_factorize, ConfluxConfig, ConfluxRun, LuCause, LuError, LuFactors,
 };
 pub use grid::{choose_grid, LuGrid};
-pub use model::{conflux_volume_per_rank, conflux_volume_total};
+pub use model::conflux_volume_per_rank;
 pub use pivoting::{PivotChoice, PivotStrategy};
 pub use threaded::{factorize_threaded, try_factorize_threaded};
 pub use tiles::{Mode, Tile};
 
 pub mod cholesky;
 pub use cholesky::{factorize_cholesky, CholeskyConfig, CholeskyRun};
-
-pub mod mmm25d;
-pub mod redistribute;
-pub use mmm25d::{multiply_25d, Mmm25dConfig, Mmm25dRun};

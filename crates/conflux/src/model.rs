@@ -1,14 +1,18 @@
 //! Analytic communication model of COnfLUX (Lemma 10 / Table 2).
 //!
 //! Lemma 10: `Q_COnfLUX = N³/(P√M) + O(N²/P)` elements per processor.
-//! The per-step accounting (Section 7.4) sums to:
+//! The per-step accounting (Section 7.4) on a `[q, q, c]` grid, with
+//! `P = q²c` and `√M = N/q`, sums to:
 //!
-//! * steps 8+10 (panel sends): `Σ_t 2(N−tv)Nv/(P√M) = N³/(P√M)`,
+//! * steps 8+10 (panel sends): `Σ_t 2(N−tv)Nv/(P√M) = N³/(P√M) = N²/(qc)`,
 //! * steps 4+6 (panel scatters): `Σ_t 2(N−tv)v/P = N²/P`,
-//! * steps 1+5 (fiber reductions): `Σ_t 2(N−tv)v·(c−1)/(c)·(1/q²)·q²/P ≈
-//!   N²(c−1)/(cP)·c = N²(c−1)/P` total, i.e. `O(N²/P)` per rank,
-//! * steps 2+3 (pivoting + A00 broadcast): `O(v N log P / P + N v)` — lower
-//!   order for the regimes measured.
+//! * steps 1+5 (fiber reductions): `(c−1)·N²/P`. Lemma 10 writes this as
+//!   `O(N²/P)`, but it is not lower order where the paper runs: at
+//!   `c = P^(1/3)` the grid has `q ≈ c`, and the term's ratio to the
+//!   leading one is `(c−1)/q`, close to 1,
+//! * steps 2+3 (pivoting + A00 broadcast): `O(v N log P / P + N v)`. These
+//!   are not modeled; they shrink relative to the terms above as `N` grows,
+//!   and omitting them is why the model under-predicts measured volume.
 //!
 //! The model reports the same quantity the simulator counts: elements sent,
 //! per rank (mean over active ranks).
@@ -34,12 +38,6 @@ pub fn conflux_volume_per_rank(n: usize, grid: &LuGrid) -> f64 {
     // run spread over P ranks — lower order than the terms above in every
     // measured regime, so the model omits them like the paper's Table 2.
     panels + scatters + reductions
-}
-
-/// Total modeled volume across all ranks (what Table 2 reports, in
-/// elements; multiply by 8 for bytes).
-pub fn conflux_volume_total(n: usize, grid: &LuGrid) -> f64 {
-    conflux_volume_per_rank(n, grid) * grid.active() as f64
 }
 
 /// The paper's headline closed form `N³/(P√M) + O(N²/P)` per rank, with an
@@ -68,17 +66,14 @@ mod tests {
     }
 
     #[test]
-    fn per_rank_total_consistency() {
-        let grid = LuGrid::new(64, 4, 4);
-        let per = conflux_volume_per_rank(4096, &grid);
-        let total = conflux_volume_total(4096, &grid);
-        assert!((total - per * 64.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn replication_reduces_leading_term() {
-        let a = conflux_volume_per_rank(8192, &LuGrid::new(64, 8, 1));
-        let b = conflux_volume_per_rank(8192, &LuGrid::new(256, 8, 4));
-        assert!(b < a);
+        for (n, small, large) in [
+            (8192, LuGrid::new(64, 8, 1), LuGrid::new(256, 8, 4)),
+            (4096, LuGrid::new(32, 4, 2), LuGrid::new(256, 8, 4)),
+        ] {
+            let a = conflux_volume_per_rank(n, &small);
+            let b = conflux_volume_per_rank(n, &large);
+            assert!(b < a, "n={n}: {small:?} {a} vs {large:?} {b}");
+        }
     }
 }

@@ -119,11 +119,6 @@ impl BlockStore {
         &self.base[br * self.nb + bc]
     }
 
-    /// Mutable base tile.
-    pub fn base_mut(&mut self, br: usize, bc: usize) -> &mut Tile {
-        &mut self.base[br * self.nb + bc]
-    }
-
     /// Mutable delta tile of layer `k`.
     pub fn delta_mut(&mut self, k: usize, br: usize, bc: usize) -> &mut Tile {
         &mut self.deltas[k][br * self.nb + bc]

@@ -73,12 +73,6 @@ impl BlockCyclic1D {
             .take_while(move |&start| start < n)
             .flat_map(move |start| start..(start + nb).min(n))
     }
-
-    /// Number of global indices `>= from` owned by `proc` — used when
-    /// algorithms shrink the active trailing matrix.
-    pub fn local_len_from(&self, proc: usize, from: usize) -> usize {
-        self.owned_indices(proc).filter(|&g| g >= from).count()
-    }
 }
 
 /// Two-dimensional block-cyclic map over a `pr x pc` process grid.
@@ -110,11 +104,6 @@ impl BlockCyclic2D {
     #[inline]
     pub fn local(&self, i: usize, j: usize) -> (usize, usize) {
         (self.rows.local_index(i), self.cols.local_index(j))
-    }
-
-    /// Local storage shape on grid process `(pr, pc)`.
-    pub fn local_shape(&self, pr: usize, pc: usize) -> (usize, usize) {
-        (self.rows.local_len(pr), self.cols.local_len(pc))
     }
 }
 
@@ -171,15 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn local_len_from_counts_tail() {
-        let m = BlockCyclic1D::new(12, 2, 2);
-        // proc 0 owns 0,1,4,5,8,9; from 4 -> 4 indices remain
-        assert_eq!(m.local_len_from(0, 4), 4);
-        assert_eq!(m.local_len_from(0, 9), 1);
-        assert_eq!(m.local_len_from(1, 0), 6);
-    }
-
-    #[test]
     fn grid_2d_consistency() {
         let g = BlockCyclic2D::new(12, 9, 2, 3, 2, 3);
         let (pr, pc) = g.owner(5, 7);
@@ -188,8 +168,7 @@ mod tests {
         let mut counted = 0;
         for r in 0..2 {
             for c in 0..3 {
-                let (lr, lc) = g.local_shape(r, c);
-                counted += lr * lc;
+                counted += g.rows.local_len(r) * g.cols.local_len(c);
             }
         }
         assert_eq!(counted, 12 * 9);

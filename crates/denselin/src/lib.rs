@@ -41,7 +41,6 @@
 
 pub mod blockcyclic;
 pub mod cholesky;
-pub mod condition;
 pub mod gemm;
 pub mod lu;
 pub mod lu_parallel;
@@ -56,7 +55,6 @@ pub mod tune;
 
 pub use blockcyclic::{BlockCyclic1D, BlockCyclic2D};
 pub use cholesky::{cholesky_blocked, cholesky_unblocked, NotPositiveDefinite};
-pub use condition::{condition_estimate, one_norm};
 pub use gemm::{
     auto_threads, default_isa_kernel, force_kernel, gemm_auto, gemm_emulated, gemm_with,
     microkernels, selected_kernel, GemmBlocking, GemmConfig, Microkernel,

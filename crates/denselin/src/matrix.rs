@@ -251,14 +251,6 @@ impl Matrix {
         }
     }
 
-    /// In-place element-wise `self += other`.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape());
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// Scaled copy `alpha * self`.
     pub fn scale(&self, alpha: f64) -> Matrix {
         let data = self.data.iter().map(|x| alpha * x).collect();

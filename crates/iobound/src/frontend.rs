@@ -202,15 +202,6 @@ impl NestedStatement {
             outdegree_one_u: self.outdegree_one_u,
         }
     }
-
-    /// Package with the polynomial-extrapolated domain (for large `n`).
-    pub fn instance_scaled(&self, n: f64) -> StatementInstance {
-        StatementInstance {
-            shape: self.shape(),
-            domain_size: self.domain_size_sampled(n),
-            outdegree_one_u: self.outdegree_one_u,
-        }
-    }
 }
 
 /// The LU program of Figure 1, written in the frontend.

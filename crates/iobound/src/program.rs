@@ -50,22 +50,6 @@ impl StatementShape {
     /// # Panics
     /// Panics if any variable index is out of range.
     pub fn with_term(mut self, array: impl Into<String>, vars: &[usize]) -> Self {
-        self.push_term(array, vars, 1.0);
-        self
-    }
-
-    /// Add a term with an explicit coefficient (used by output reuse).
-    pub fn with_weighted_term(
-        mut self,
-        array: impl Into<String>,
-        vars: &[usize],
-        coeff: f64,
-    ) -> Self {
-        self.push_term(array, vars, coeff);
-        self
-    }
-
-    fn push_term(&mut self, array: impl Into<String>, vars: &[usize], coeff: f64) {
         let mut v: Vec<usize> = vars.to_vec();
         v.sort_unstable();
         v.dedup();
@@ -73,12 +57,12 @@ impl StatementShape {
             v.iter().all(|&t| t < self.num_vars),
             "access variable index out of range"
         );
-        assert!(coeff >= 0.0, "term coefficient must be non-negative");
         self.terms.push(AccessTerm {
             array: array.into(),
             vars: v,
-            coeff,
+            coeff: 1.0,
         });
+        self
     }
 
     /// True iff every iteration variable appears in at least one term with

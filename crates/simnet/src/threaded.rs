@@ -195,11 +195,6 @@ impl RankCtx {
         self.retries
     }
 
-    /// Faults injected on this rank so far, in program order.
-    pub fn fault_events(&self) -> &[FaultEvent] {
-        &self.fault_log
-    }
-
     /// Remaining region budget, or a [`SimnetError::DeadlineExceeded`].
     fn remaining(&self) -> SimnetResult<Duration> {
         let left = self.deadline.saturating_duration_since(Instant::now());
@@ -236,14 +231,6 @@ impl RankCtx {
             })
         } else {
             Ok(())
-        }
-    }
-
-    /// Panicking form of [`RankCtx::fail_point`] for closures returning
-    /// plain values; the supervisor converts the unwind back into the error.
-    pub fn checkpoint(&mut self, step: usize) {
-        if let Err(e) = self.fail_point(step) {
-            raise(e);
         }
     }
 
@@ -953,11 +940,6 @@ impl std::fmt::Display for SpmdFailure {
 impl std::error::Error for SpmdFailure {}
 
 impl<T> SpmdReport<T> {
-    /// The lowest-rank error, if any rank failed.
-    pub fn first_error(&self) -> Option<&SimnetError> {
-        self.results.iter().find_map(|r| r.as_ref().err())
-    }
-
     /// Collapse into the classic `(values, stats)` pair, or a
     /// [`SpmdFailure`] carrying the partial statistics.
     pub fn into_result(self) -> Result<(Vec<T>, CommStats), SpmdFailure> {

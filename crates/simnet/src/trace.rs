@@ -202,15 +202,6 @@ impl Tracer {
         }
     }
 
-    /// Replace the compute-cost coefficient (seconds per flop; `0.0` makes
-    /// compute regions zero-width so the timeline is communication-only).
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.gamma = gamma;
-        }
-        self
-    }
-
     /// Is this tracer recording?
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
@@ -658,11 +649,6 @@ impl HbGraph {
             }
         }
         self.nodes - drained
-    }
-
-    /// `true` iff the happens-before relation is a DAG.
-    pub fn is_acyclic(&self) -> bool {
-        self.undrained_nodes() == 0
     }
 }
 

@@ -131,12 +131,6 @@ impl MatrixClass {
             MatrixClass::Wilkinson => "wilkinson",
         }
     }
-
-    /// Classes whose factorization is expected to succeed with a small
-    /// residual (possibly growth-scaled for [`MatrixClass::Wilkinson`]).
-    pub fn is_solvable(self) -> bool {
-        !matches!(self, MatrixClass::RankDef)
-    }
 }
 
 /// Fault schedule attached to a scenario (orchestrated accountant runs).
