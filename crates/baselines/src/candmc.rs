@@ -27,6 +27,7 @@ use simnet::stats::CommStats;
 
 use conflux::grid::LuGrid;
 use conflux::tiles::Mode;
+use conflux::{LuCause, LuError};
 
 /// Configuration of a CANDMC-like run.
 #[derive(Clone, Debug)]
@@ -87,8 +88,10 @@ pub struct CandmcRun {
     pub timeline: Option<simnet::trace::Trace>,
 }
 
-/// Run the CANDMC-like 2.5D LU.
-pub fn factorize_candmc(cfg: &CandmcConfig, a: Option<&Matrix>) -> CandmcRun {
+/// Run the CANDMC-like 2.5D LU. A singular pivot block (no nonzero pivot
+/// among the tournament's chosen rows) returns [`LuCause::Singular`] with
+/// the statistics up to that step.
+pub fn factorize_candmc(cfg: &CandmcConfig, a: Option<&Matrix>) -> Result<CandmcRun, LuError> {
     let (n, v) = (cfg.n, cfg.v);
     assert!(n % v == 0, "v must divide n");
     let (q, c) = (cfg.grid.q, cfg.grid.c);
@@ -132,9 +135,17 @@ pub fn factorize_candmc(cfg: &CandmcConfig, a: Option<&Matrix>) -> CandmcRun {
         net.butterfly(&group, (v * (v + 1)) as u64, "tslu:tournament");
 
         // ---- pivoting numerics + physical row swaps ----
+        let singular = |e: denselin::SingularMatrix, net: &Network| LuError {
+            error: LuCause::Singular {
+                column: kb + e.column,
+            },
+            step: Some(t),
+            stats: net.stats.clone(),
+            retries: 0,
+        };
         let pivots: Vec<usize> = if let Some(m) = lu.as_mut() {
             let panel = m.block(kb, kb, rem, v);
-            let sel = tournament_pivots(&panel, v, q * c);
+            let sel = tournament_pivots(&panel, v, q * c).map_err(|e| singular(e, &net))?;
             sel.pivot_rows.iter().map(|&r| kb + r).collect()
         } else {
             let mut state = cfg.seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15);
@@ -186,7 +197,7 @@ pub fn factorize_candmc(cfg: &CandmcConfig, a: Option<&Matrix>) -> CandmcRun {
         // ---- factor the diagonal block (numerics on the global view) ----
         if let Some(m) = lu.as_mut() {
             let panel = m.block(kb, kb, v, v);
-            let pf = denselin::tournament::lu_no_pivot(&panel);
+            let pf = denselin::tournament::lu_no_pivot(&panel).map_err(|e| singular(e, &net))?;
             m.set_block(kb, kb, &pf);
         }
 
@@ -249,11 +260,11 @@ pub fn factorize_candmc(cfg: &CandmcConfig, a: Option<&Matrix>) -> CandmcRun {
 
     let factors = lu.map(|m| denselin::lu::LuFactorization { lu: m, perm, sign });
     let timeline = net.take_timeline();
-    CandmcRun {
+    Ok(CandmcRun {
         stats: net.stats,
         factors,
         timeline,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -268,7 +279,7 @@ mod tests {
             let a = Matrix::random(&mut rng, n, n);
             let grid = LuGrid::new(q * q * c, q, c);
             let cfg = CandmcConfig::dense(n, v, grid);
-            let run = factorize_candmc(&cfg, Some(&a));
+            let run = factorize_candmc(&cfg, Some(&a)).unwrap();
             let f = run.factors.unwrap();
             assert!(
                 f.residual(&a) < 1e-9,
@@ -279,10 +290,23 @@ mod tests {
     }
 
     #[test]
+    fn singular_pivot_block_is_a_typed_error() {
+        let mut rng = SplitMix64::new(7);
+        let mut a = Matrix::random(&mut rng, 16, 16);
+        for i in 0..16 {
+            a[(i, 1)] = 0.0;
+        }
+        let cfg = CandmcConfig::dense(16, 4, LuGrid::new(4, 2, 1));
+        let err = factorize_candmc(&cfg, Some(&a)).map(|_| ()).unwrap_err();
+        assert_eq!(err.error, LuCause::Singular { column: 1 });
+        assert_eq!(err.step, Some(0));
+    }
+
+    #[test]
     fn phantom_counts() {
         let grid = LuGrid::new(8, 2, 2);
         let cfg = CandmcConfig::phantom(128, 8, grid);
-        let run = factorize_candmc(&cfg, None);
+        let run = factorize_candmc(&cfg, None).unwrap();
         assert!(run.stats.total_sent() > 0);
         assert!(run.stats.phases().contains(&"swap"));
         assert!(run.stats.phases().contains(&"l-panel-bcast"));
@@ -295,7 +319,7 @@ mod tests {
         let n = 1024;
         let v = 32;
         let grid = LuGrid::new(64, 4, 4);
-        let candmc = factorize_candmc(&CandmcConfig::phantom(n, v, grid), None);
+        let candmc = factorize_candmc(&CandmcConfig::phantom(n, v, grid), None).unwrap();
         let cflux = conflux::factorize(&conflux::ConfluxConfig::phantom(n, v, grid), None);
         let ratio = candmc.stats.total_sent() as f64 / cflux.stats.total_sent() as f64;
         assert!(
@@ -312,8 +336,10 @@ mod tests {
     fn swap_volume_grows_with_replication() {
         let n = 256;
         let v = 8;
-        let c1 = factorize_candmc(&CandmcConfig::phantom(n, v, LuGrid::new(4, 2, 1)), None);
-        let c4 = factorize_candmc(&CandmcConfig::phantom(n, v, LuGrid::new(16, 2, 4)), None);
+        let c1 =
+            factorize_candmc(&CandmcConfig::phantom(n, v, LuGrid::new(4, 2, 1)), None).unwrap();
+        let c4 =
+            factorize_candmc(&CandmcConfig::phantom(n, v, LuGrid::new(16, 2, 4)), None).unwrap();
         assert!(c4.stats.sent_in_phase("swap") > c1.stats.sent_in_phase("swap"));
     }
 }

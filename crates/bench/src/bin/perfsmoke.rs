@@ -1,7 +1,8 @@
 //! `perfsmoke` — fast GFLOP/s smoke test of the local compute substrate.
 //!
 //! Measures the packed register-blocked GEMM against the scalar reference
-//! path, the tile-queue parallel GEMM, blocked TRSM, blocked LU, and the
+//! path, the tile-queue parallel GEMM, blocked TRSM, the LU panel kernel
+//! against the rank-1 loop of `lu_unblocked`, blocked LU, and the
 //! lookahead-pipelined parallel LU (plus a thread sweep of the parallel
 //! kernels), then writes `BENCH_kernels.json` at the repo root. This file
 //! is the perf trajectory future PRs are held against (CI uploads it as an
@@ -21,8 +22,10 @@ use std::time::Instant;
 
 use denselin::gemm::{auto_threads, gemm_reference, gemm_with, GemmBlocking, GemmConfig};
 use denselin::lu::lu_blocked;
+use denselin::lu::lu_unblocked;
 use denselin::lu_parallel::lu_parallel_with;
 use denselin::matrix::Matrix;
+use denselin::panel::{factor_in_place, PivotMode};
 use denselin::trsm::trsm_lower_left;
 use denselin::SplitMix64;
 use simnet::trace::RankTracer;
@@ -140,6 +143,30 @@ fn main() {
         push(&mut entries, "trsm_lower_left", n, 1, t, flops);
     }
 
+    // ---- LU panel: the register-blocked kernel against the rank-1 loop,
+    // ---- medians and quartiles of alternating runs on one panel ----
+    let panel_reps = if quick { 11 } else { 41 };
+    let mut panels = Vec::new();
+    for m in [384usize, 768] {
+        let a = Matrix::random(&mut rng, m, 64);
+        let (mut kernel, mut rank1) = (Vec::new(), Vec::new());
+        for _ in 0..panel_reps {
+            let start = Instant::now();
+            let mut lu = a.clone();
+            factor_in_place(&mut lu, PivotMode::Partial).unwrap();
+            kernel.push(start.elapsed().as_secs_f64() * 1e6);
+            let start = Instant::now();
+            lu_unblocked(&a).unwrap();
+            rank1.push(start.elapsed().as_secs_f64() * 1e6);
+        }
+        let (k, r) = (quartiles(&mut kernel), quartiles(&mut rank1));
+        println!(
+            "{:>16}  m={m:<5} kb=64   kernel {:.1} us [{:.1}, {:.1}]  rank-1 {:.1} us [{:.1}, {:.1}]",
+            "panel", k[1], k[0], k[2], r[1], r[0], r[2]
+        );
+        panels.push((m, k, r));
+    }
+
     // ---- Blocked LU (panel + TRSM + packed trailing update) and the
     // ---- lookahead-pipelined parallel LU over the same inputs ----
     let lu_sizes: &[usize] = if quick { &[512] } else { &[512, 1024] };
@@ -229,6 +256,16 @@ fn main() {
         "  \"noop_tracer_overhead_n512\": {},",
         noop_overhead.map_or("null".into(), |s| format!("{s:.4}"))
     );
+    json.push_str("  \"panel\": [\n");
+    for (i, (m, k, r)) in panels.iter().enumerate() {
+        let comma = if i + 1 < panels.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{ \"m\": {m}, \"kb\": 64, \"reps\": {panel_reps}, \"kernel_us_p50\": {:.1}, \"kernel_us_q1_q3\": [{:.1}, {:.1}], \"rank1_us_p50\": {:.1}, \"rank1_us_q1_q3\": [{:.1}, {:.1}], \"speedup_p50\": {:.2} }}{comma}",
+            k[1], k[0], k[2], r[1], r[0], r[2], r[1] / k[1]
+        );
+    }
+    json.push_str("  ],\n");
     json.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
@@ -326,6 +363,13 @@ fn main() {
             }
         }
     }
+}
+
+/// First quartile, median and third quartile of `xs`.
+fn quartiles(xs: &mut [f64]) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+    [at(0.25), at(0.5), at(0.75)]
 }
 
 fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {

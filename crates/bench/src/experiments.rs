@@ -136,7 +136,8 @@ pub fn measure(imp: Implementation, n: usize, p: usize) -> Measurement {
         Implementation::Candmc => {
             let grid = choose_grid(p, n, m);
             let v = pick_block_size(n, grid.q, grid.c);
-            let run = factorize_candmc(&CandmcConfig::phantom(n, v, grid), None);
+            let run = factorize_candmc(&CandmcConfig::phantom(n, v, grid), None)
+                .expect("a Phantom run does no arithmetic, so it cannot be singular");
             let model = baselines::models::candmc_per_rank(
                 n as f64,
                 grid.active() as f64,

@@ -179,6 +179,12 @@ pub enum LuCause {
     /// The simulated machine failed the run: a crashed, timed-out or
     /// panicked rank, or a message that exhausted its retries.
     Simnet(SimnetError),
+    /// The tournament's pivot rows `A00` are singular: no nonzero pivot in
+    /// global column `column`. The input is (numerically) singular.
+    Singular {
+        /// Global column of the zero pivot.
+        column: usize,
+    },
 }
 
 impl From<SimnetError> for LuCause {
@@ -192,6 +198,12 @@ impl std::fmt::Display for LuCause {
         match self {
             LuCause::Precondition(what) => write!(f, "precondition violated: {what}"),
             LuCause::Simnet(e) => e.fmt(f),
+            LuCause::Singular { column } => {
+                write!(
+                    f,
+                    "singular pivot block: no nonzero pivot in column {column}"
+                )
+            }
         }
     }
 }
@@ -436,7 +448,13 @@ pub fn try_factorize(cfg: &ConfluxConfig, a: Option<&Matrix>) -> Result<ConfluxR
             v,
             cfg.seed,
             t,
-        );
+        )
+        .map_err(|error| LuError {
+            error,
+            step: Some(t),
+            stats: net.stats.clone(),
+            retries: 0,
+        })?;
         net.butterfly(&pivot_group, (v * (v + 1)) as u64, "02:tournament");
         let pivots = round.pivot_rows.clone();
         debug_assert_eq!(pivots.len(), v);
@@ -910,7 +928,7 @@ fn rows_per_grid_row(groups: &[(usize, Vec<usize>)], q: usize) -> Vec<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::grid::LuGrid;
     use denselin::SplitMix64;
@@ -922,6 +940,26 @@ mod tests {
         let cfg = ConfluxConfig::dense(n, v, grid);
         let run = factorize(&cfg, Some(&a));
         (a, run)
+    }
+
+    /// A random matrix whose column 1 is zero: every choice of pivot rows
+    /// leaves a zero second pivot in `A00`.
+    pub(crate) fn zero_second_column(n: usize) -> Matrix {
+        let mut rng = SplitMix64::new(7);
+        let mut a = Matrix::random(&mut rng, n, n);
+        for i in 0..n {
+            a[(i, 1)] = 0.0;
+        }
+        a
+    }
+
+    #[test]
+    fn singular_pivot_block_is_a_typed_error() {
+        let a = zero_second_column(16);
+        let cfg = ConfluxConfig::dense(16, 4, LuGrid::new(4, 2, 1));
+        let err = try_factorize(&cfg, Some(&a)).map(|_| ()).unwrap_err();
+        assert_eq!(err.error, LuCause::Singular { column: 1 });
+        assert_eq!(err.step, Some(0));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 
 use denselin::matrix::Matrix;
 use denselin::tournament::{local_candidates, lu_no_pivot, playoff_round, Candidates};
-use denselin::SplitMix64;
+use denselin::{SingularMatrix, SplitMix64};
 
+use crate::algorithm::LuCause;
 use crate::tiles::{Mode, Tile};
 
 /// How pivot rows are selected.
@@ -71,6 +72,9 @@ pub struct PivotRound {
 /// * `remaining` — global row ids matching `panel` rows,
 /// * `owner_of_row` — grid-row index (`0..q`) owning each remaining row,
 /// * `v` — number of pivots to select.
+///
+/// Singular chosen rows (no nonzero pivot in the `A00` block) come back as
+/// [`LuCause::Singular`] naming the global column `step·v + j`.
 #[allow(clippy::too_many_arguments)] // mirrors the step's full parameter set
 pub fn select_pivots(
     mode: Mode,
@@ -82,8 +86,11 @@ pub fn select_pivots(
     v: usize,
     seed: u64,
     step: usize,
-) -> PivotRound {
+) -> Result<PivotRound, LuCause> {
     let v_eff = v.min(remaining.len());
+    let singular = |e: SingularMatrix| LuCause::Singular {
+        column: step * v + e.column,
+    };
     match (mode, choice) {
         (Mode::Phantom, PivotChoice::Tournament) => {
             panic!("tournament pivoting needs data; use PivotChoice::Synthetic in Phantom mode")
@@ -96,14 +103,14 @@ pub fn select_pivots(
                         .iter()
                         .map(|r| remaining.iter().position(|x| x == r).unwrap())
                         .collect();
-                    Tile::from_matrix(lu_no_pivot(&p.gather_rows(&idx)))
+                    Tile::from_matrix(lu_no_pivot(&p.gather_rows(&idx)).map_err(singular)?)
                 }
                 _ => Tile::zeros(Mode::Phantom, v_eff, v_eff),
             };
-            PivotRound {
+            Ok(PivotRound {
                 pivot_rows: rows,
                 a00,
-            }
+            })
         }
         (Mode::Dense, PivotChoice::Tournament) => {
             let panel = panel.expect("dense tournament needs the column panel");
@@ -140,11 +147,11 @@ pub fn select_pivots(
                 .iter()
                 .map(|r| remaining.iter().position(|x| x == r).unwrap())
                 .collect();
-            let a00 = Tile::from_matrix(lu_no_pivot(&panel.gather_rows(&idx)));
-            PivotRound {
+            let a00 = Tile::from_matrix(lu_no_pivot(&panel.gather_rows(&idx)).map_err(singular)?);
+            Ok(PivotRound {
                 pivot_rows: winner.rows,
                 a00,
-            }
+            })
         }
     }
 }
@@ -166,7 +173,8 @@ mod tests {
             8,
             42,
             3,
-        );
+        )
+        .unwrap();
         let b = select_pivots(
             Mode::Phantom,
             PivotChoice::Synthetic,
@@ -177,7 +185,8 @@ mod tests {
             8,
             42,
             3,
-        );
+        )
+        .unwrap();
         assert_eq!(a.pivot_rows, b.pivot_rows);
         assert_eq!(a.pivot_rows.len(), 8);
         let mut sorted = a.pivot_rows.clone();
@@ -200,7 +209,8 @@ mod tests {
             8,
             42,
             0,
-        );
+        )
+        .unwrap();
         let b = select_pivots(
             Mode::Phantom,
             PivotChoice::Synthetic,
@@ -211,7 +221,8 @@ mod tests {
             8,
             42,
             1,
-        );
+        )
+        .unwrap();
         assert_ne!(a.pivot_rows, b.pivot_rows);
     }
 
@@ -231,7 +242,8 @@ mod tests {
             4,
             0,
             0,
-        );
+        )
+        .unwrap();
         assert_eq!(round.pivot_rows.len(), 4);
         // panel row 17 has global id 34 and must win
         assert!(round.pivot_rows.contains(&34));
@@ -262,7 +274,8 @@ mod tests {
             4,
             9,
             0,
-        );
+        )
+        .unwrap();
         assert_eq!(round.a00.dense().rows(), 4);
     }
 
@@ -280,7 +293,8 @@ mod tests {
             2,
             0,
             0,
-        );
+        )
+        .unwrap();
     }
 
     #[test]
@@ -296,7 +310,8 @@ mod tests {
             8,
             1,
             0,
-        );
+        )
+        .unwrap();
         assert_eq!(round.pivot_rows.len(), 2);
     }
 }

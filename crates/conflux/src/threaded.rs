@@ -77,12 +77,13 @@
 //! masking pivoting only, and `q` must be a power of two (the tournament
 //! butterfly converges — and matches the orchestrated volume formula —
 //! only on power-of-two groups). A configuration outside this domain is a
-//! [`LuCause::Precondition`](crate::LuCause::Precondition) error, never a
+//! [`LuCause::Precondition`] error, never a
 //! panic.
 
 use std::ops::Range;
 
 use denselin::gemm::{auto_threads, gemm_with, GemmConfig};
+use denselin::lu::SingularMatrix;
 use denselin::matrix::Matrix;
 use denselin::tournament::{local_candidates, lu_no_pivot, playoff_round, Candidates};
 use denselin::trsm::{trsm_lower_left_parallel, trsm_upper_right};
@@ -95,7 +96,7 @@ use simnet::topology::{Coord3D, Grid3D};
 use crate::algorithm::{
     a01_scatter_plan, a01_send_segments, a10_scatter_plan, a10_send_segments, assemble,
     grid_cols_of_trailing, grid_rows_of_live, precondition_violated, ConfluxConfig, ConfluxRun,
-    LuError, StepShard,
+    LuCause, LuError, StepShard,
 };
 use crate::pivoting::{synthetic_winners, PivotChoice, PivotStrategy};
 use crate::store::rows_by_block;
@@ -411,7 +412,7 @@ fn threaded_precondition_violated(cfg: &ConfluxConfig, a: &Matrix) -> Option<&'s
 /// `n`, no layers, `v < c`, an input that is not `n x n`, non-Dense mode,
 /// swapping pivoting, a non-binomial broadcast, a `q` that is not a power
 /// of two, or more than 4096 ranks — returns
-/// [`LuCause::Precondition`](crate::LuCause::Precondition) naming the
+/// [`LuCause::Precondition`] naming the
 /// violated rule before any rank starts.
 pub fn try_factorize_threaded(
     cfg: &ConfluxConfig,
@@ -435,13 +436,21 @@ pub fn try_factorize_threaded(
     let timeline = report.trace.take();
 
     match report.into_result() {
-        Ok((shards, stats)) => Ok(ConfluxRun {
-            stats,
-            factors: Some(assemble(n, v, &shards)),
-            timeline,
-            retries,
-            config: cfg.clone(),
-        }),
+        Ok((ranks, stats)) => match ranks.into_iter().collect::<Result<Vec<_>, _>>() {
+            Ok(shards) => Ok(ConfluxRun {
+                stats,
+                factors: Some(assemble(n, v, &shards)),
+                timeline,
+                retries,
+                config: cfg.clone(),
+            }),
+            Err(SingularMatrix { column }) => Err(LuError {
+                error: LuCause::Singular { column },
+                step: Some(column / v),
+                stats,
+                retries,
+            }),
+        },
         Err(failure) => {
             // prefer the injected fault (the root cause) over the timeouts
             // the surviving ranks report as a consequence
@@ -527,14 +536,16 @@ fn exchange<E>(
 }
 
 /// The per-rank SPMD program: the same 11 steps as the orchestrated driver,
-/// acting only on this rank's tiles.
+/// acting only on this rank's tiles. Every rank ends early, right after
+/// the step-3 broadcast, with the global column of the zero pivot when the
+/// pivot rows `A00` are singular.
 fn rank_program(
     ctx: &mut RankCtx,
     cfg: &ConfluxConfig,
     a: &Matrix,
     topo: &Grid3D,
     nb: usize,
-) -> SimnetResult<Vec<StepShard>> {
+) -> SimnetResult<Result<Vec<StepShard>, SingularMatrix>> {
     let (n, v) = (cfg.n, cfg.v);
     let (q, c) = (cfg.grid.q, cfg.grid.c);
     let p = ctx.p;
@@ -631,13 +642,27 @@ fn rank_program(
             debug_assert_eq!(w.rows.len(), v, "tournament must yield v pivots");
             let a00 = ctx.compute("02:tournament", "lu-a00", || lu_no_pivot(&w.values));
             let mut buf = Vec::with_capacity(v * v + v);
-            buf.extend(w.rows.iter().map(|&r| r as f64));
-            buf.extend_from_slice(a00.as_slice());
+            match a00 {
+                Ok(a00) => {
+                    buf.extend(w.rows.iter().map(|&r| r as f64));
+                    buf.extend_from_slice(a00.as_slice());
+                }
+                // a singular block ends the run: the first pivot id is
+                // `-(1 + global column)`, in a payload of the usual size
+                Err(e) => {
+                    buf.resize(v * v + v, 0.0);
+                    buf[0] = -1.0 - (t * v + e.column) as f64;
+                }
+            }
             Some(buf)
         } else {
             None
         };
         let buf = ctx.try_broadcast(&all_ranks, root, payload, tag_of(t, 3, 0), "03:bcast-a00")?;
+        if buf[0] < 0.0 {
+            let column = (-1.0 - buf[0]) as usize;
+            return Ok(Err(SingularMatrix { column }));
+        }
         let pivots: Vec<usize> = buf[..v].iter().map(|&r| r as usize).collect();
         let a00 = Matrix::from_vec(v, v, buf[v..v + v * v].to_vec());
 
@@ -870,7 +895,7 @@ fn rank_program(
     }
     debug_assert!(deferred.is_none(), "the last step has no trailing columns");
 
-    Ok(shards)
+    Ok(Ok(shards))
 }
 
 /// Positions `[lo, hi)` of the contiguous 1D chunk `rank` holds out of
@@ -904,6 +929,17 @@ mod tests {
     fn random_matrix(seed: u64, n: usize) -> Matrix {
         let mut rng = SplitMix64::new(seed);
         Matrix::random(&mut rng, n, n)
+    }
+
+    #[test]
+    fn singular_pivot_block_ends_every_rank_with_a_typed_error() {
+        let a = crate::algorithm::tests::zero_second_column(16);
+        for grid in [LuGrid::new(4, 2, 1), LuGrid::new(8, 2, 2)] {
+            let cfg = ConfluxConfig::dense(16, 4, grid);
+            let err = factorize_threaded(&cfg, &a).map(|_| ()).unwrap_err();
+            assert_eq!(err.error, LuCause::Singular { column: 1 }, "{grid:?}");
+            assert_eq!(err.step, Some(0));
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! * [`lu_parallel`][mod@lu_parallel] — the lookahead-pipelined
 //!   multithreaded LU, bitwise
 //!   identical to [`lu::lu_blocked`],
+//! * [`panel`] — the register-blocked, bit-exact LU panel kernel behind
+//!   `lu_parallel` and the tournament,
 //! * [`pool`] — the persistent worker pool every parallel kernel shares,
 //! * [`tune`] — persistent per-host microkernel/blocking autotuning (the
 //!   macro-generated variant table lives in [`mod@gemm`]; the `tune`
@@ -45,6 +47,7 @@ pub mod gemm;
 pub mod lu;
 pub mod lu_parallel;
 pub mod matrix;
+pub mod panel;
 pub mod pool;
 pub mod qr;
 pub mod refine;

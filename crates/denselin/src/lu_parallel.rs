@@ -13,42 +13,47 @@
 //!   remaining workers drain the rest of the update as independent column
 //!   *bands* from an atomic work queue (each band: U-panel TRSM, then a
 //!   packed-kernel GEMM). The panel is therefore off the critical path —
-//!   the pipeline streams GEMM work at every step.
+//!   the pipeline streams GEMM work at every step. The panel itself is
+//!   the register-blocked [`crate::panel`] kernel.
 //! * **In-place strided updates.** The trailing GEMM writes directly into
 //!   the factored buffer through the strided-view machinery of
 //!   [`gemm`][mod@crate::gemm] (no `A11` copy-out/copy-back), the panel is factored
 //!   in place on its strided rows, and row permutations are applied as
-//!   in-place cycle-following gathers, column-sliced across the pool.
+//!   in-place cycle-following gathers by the jobs that own the columns.
 //!
 //! # Dependency structure (one iteration, current step `k`)
 //!
 //! ```text
-//!  apply P(k) outside panel k          [column-sliced on the pool]
-//!          |
-//!  stripe S = next panel cols: TRSM + GEMM     [caller thread]
+//!  stripe S = next panel cols: P(k), TRSM + GEMM   [caller thread]
 //!          |
 //!     +----+---------------------------+
-//!     | worker 0: factor panel k+1     | workers 1..t: drain R bands
-//!     |   (rows k+kb.., cols S,        |   band = TRSM(L00, U01_band)
+//!     | worker 0: factor panel k+1     | workers 1..t: drain the queue
+//!     |   (rows k+kb.., cols S,        |   band = P(k), TRSM(L00, U01_band)
 //!     |    in place, partial pivoting) |        + GEMM(C_band -= L10·U01)
+//!     |                                |   [0, k) block = P(k)
 //!     +----+---------------------------+
-//!          |  (join; worker 0 helps drain bands after the panel)
+//!          |  (join; worker 0 helps drain the queue after the panel)
 //!  next iteration
 //! ```
 //!
-//! Writes are disjoint: the panel touches rows `k+kb..m` of the stripe
-//! columns only; bands touch rows `k..m` of columns right of the stripe;
-//! `L10` (columns of panel `k`) is read-shared and never written.
+//! `P(k)` is panel `k`'s row order applied to rows `k..m` of the columns
+//! outside the panel. Each column range takes it from the job that owns
+//! the range, so a step costs one pool round trip. Writes are disjoint:
+//! the panel touches rows `k+kb..m` of the stripe columns only; bands
+//! touch rows `k..m` of columns right of the stripe; the `[0, k)` item
+//! touches rows `k..m` of columns left of panel `k`; `L10` (columns of
+//! panel `k`) is read-shared and never written.
 //!
 //! # Determinism
 //!
 //! The result — pivots, permutation, sign, and every factor entry — is
 //! **bitwise identical** to `lu_blocked` for any thread count:
 //!
-//! * the panel replicates `lu_unblocked`'s arithmetic statement for
-//!   statement (same strict-`>` first-max pivot search, same division and
-//!   AXPY ordering) on the same values, since the stripe is fully updated
-//!   before the panel starts;
+//! * the panel kernel ([`crate::panel`]) gives every element the update
+//!   sequence of `lu_unblocked`'s rank-1 loop (same strict-`>` first-max
+//!   pivot search, same division, same `a -= l·u` steps in the same
+//!   order, no fused multiply-add) on the same values, since the stripe is
+//!   fully updated before the panel starts;
 //! * TRSM and GEMM are *per-column* computations here: each output element
 //!   reduces over `k` in the same `kc`-block order no matter how the
 //!   columns are sliced into bands (the packed kernels never reassociate
@@ -65,6 +70,7 @@ use crate::gemm::{
 };
 use crate::lu::{permutation_sign, LuFactorization, SingularMatrix};
 use crate::matrix::Matrix;
+use crate::panel::{factor_raw, PivotMode};
 use crate::pool::{self, SyncPtr};
 use crate::trsm::trsm_lower_left;
 
@@ -105,8 +111,9 @@ pub fn lu_parallel_with(
     let threads = threads.max(1);
     let blk = GemmBlocking::tuned();
     // Resolve the microkernel once per factorization so every trailing
-    // update (and hence the whole bitwise-deterministic result) uses one
-    // variant even if the process-wide selection is forced mid-call.
+    // update and every panel (and hence the whole bitwise-deterministic
+    // result) uses one variant even if the process-wide selection is
+    // forced mid-call.
     let krn = selected_kernel();
     let ld = n;
     let (mut abuf, mut bbuf) = (Vec::new(), Vec::new());
@@ -115,124 +122,85 @@ pub fn lu_parallel_with(
     let kb0 = nb.min(kmax);
     // SAFETY: `lu` is exclusively borrowed here; the panel region is
     // in-bounds.
-    let mut p_k = unsafe { factor_panel(lu.as_mut_slice().as_mut_ptr(), ld, 0, 0, m, kb0) }
-        .map_err(|e| SingularMatrix { column: e.column })?;
+    let mut p_k = unsafe {
+        factor_raw(
+            lu.as_mut_slice().as_mut_ptr(),
+            ld,
+            m,
+            kb0,
+            PivotMode::Partial,
+            krn.requires,
+        )
+    }?;
 
     let mut k = 0usize;
     loop {
         let kb = nb.min(kmax - k);
-        // --- permutation of step k: bookkeeping + columns outside panel ---
         sign *= permutation_sign(&p_k);
         let old: Vec<usize> = perm[k..].to_vec();
         for (i, &src) in p_k.iter().enumerate() {
             perm[k + i] = old[src];
         }
-        apply_panel_perm_cols(&mut lu, k, kb, &p_k, threads);
-
+        let moved = p_k.iter().enumerate().any(|(i, &s)| i != s);
         let next_k = k + kb;
-        let ptr = SyncPtr(lu.as_mut_slice().as_mut_ptr());
+        let l00 = lu.block(k, k, kb, kb);
+        let mut step = Step {
+            ptr: SyncPtr(lu.as_mut_slice().as_mut_ptr()),
+            ld,
+            m,
+            k,
+            kb,
+            l00: &l00,
+            blk,
+            krn,
+            rows: moved.then_some(&p_k[..]),
+            bands: Vec::new(),
+            left: moved && k > 0,
+            next: AtomicUsize::new(0),
+        };
         if next_k >= kmax {
-            if next_k < n {
-                // Wide matrix: the last step's U row-panel extends past the
-                // factored order; solve it (no trailing rows remain).
-                let l00 = lu.block(k, k, kb, kb);
-                let bands = split_bands(next_k, n, threads, blk.nc);
-                let counter = AtomicUsize::new(0);
-                pool::global().run(threads.min(bands.len().max(1)), &|_| {
-                    let (mut ab, mut bb) = (Vec::new(), Vec::new());
-                    loop {
-                        let bi = counter.fetch_add(1, Ordering::Relaxed);
-                        if bi >= bands.len() {
-                            break;
-                        }
-                        let (lo, hi) = bands[bi];
-                        // SAFETY: bands are pairwise disjoint column
-                        // ranges; `run` joins before `lu` is used again.
-                        unsafe {
-                            band_update(
-                                ptr.get(),
-                                ld,
-                                m,
-                                k,
-                                kb,
-                                lo,
-                                hi,
-                                &l00,
-                                blk,
-                                krn,
-                                &mut ab,
-                                &mut bb,
-                            )
-                        };
-                    }
-                });
-            }
+            // Last step: a wide matrix still owes the U row-panel right of
+            // the factored order (no trailing rows remain).
+            step.bands = split_bands(next_k, n, threads, blk.nc);
+            // SAFETY: queue items are pairwise disjoint column ranges;
+            // `run` joins before `lu` is used again.
+            pool::global().run(threads.min(step.items()), &|_| unsafe { step.drain() });
             break;
         }
 
-        let kb2 = nb.min(kmax - next_k);
-        let l00 = lu.block(k, k, kb, kb);
         // --- stripe S: the next panel's columns get their full step-k
         // update first (serial, on the caller), unblocking the lookahead ---
+        let kb2 = nb.min(kmax - next_k);
         // SAFETY: exclusive access between pool joins.
-        unsafe {
-            band_update(
-                ptr.0,
+        unsafe { step.columns(next_k, next_k + kb2, &mut abuf, &mut bbuf) };
+
+        // --- lookahead: factor panel k+1 while draining the queue ---
+        step.bands = split_bands(next_k + kb2, n, threads, blk.nc);
+        let ptr = &step.ptr;
+        // SAFETY: the panel writes rows next_k..m of the stripe columns
+        // only; every queue item is disjoint from it.
+        let panel = || unsafe {
+            factor_raw(
+                ptr.get().add(next_k * ld + next_k),
                 ld,
-                m,
-                k,
-                kb,
-                next_k,
-                next_k + kb2,
-                &l00,
-                blk,
-                krn,
-                &mut abuf,
-                &mut bbuf,
+                m - next_k,
+                kb2,
+                PivotMode::Partial,
+                krn.requires,
             )
         };
-
-        // --- lookahead: factor panel k+1 while draining the R bands ---
-        let bands = split_bands(next_k + kb2, n, threads, blk.nc);
-        let panel_result = if bands.is_empty() {
-            // SAFETY: exclusive access (no pool job in flight).
-            unsafe { factor_panel(ptr.get(), ld, next_k, next_k, m - next_k, kb2) }
+        let panel_result = if step.items() == 0 {
+            panel()
         } else {
             let slot: Mutex<Option<Result<Vec<usize>, SingularMatrix>>> = Mutex::new(None);
-            let counter = AtomicUsize::new(0);
-            pool::global().run(threads.min(bands.len() + 1), &|w| {
+            pool::global().run(threads.min(step.items() + 1), &|w| {
                 if w == 0 {
-                    // SAFETY: the panel writes rows next_k..m of the stripe
-                    // columns only; every band is disjoint from it.
-                    let r = unsafe { factor_panel(ptr.get(), ld, next_k, next_k, m - next_k, kb2) };
-                    *slot.lock().unwrap() = Some(r);
+                    *slot.lock().unwrap() = Some(panel());
                 }
-                let (mut ab, mut bb) = (Vec::new(), Vec::new());
-                loop {
-                    let bi = counter.fetch_add(1, Ordering::Relaxed);
-                    if bi >= bands.len() {
-                        break;
-                    }
-                    let (lo, hi) = bands[bi];
-                    // SAFETY: disjoint bands; L10/U01 band rows are not
-                    // written by any other worker.
-                    unsafe {
-                        band_update(
-                            ptr.get(),
-                            ld,
-                            m,
-                            k,
-                            kb,
-                            lo,
-                            hi,
-                            &l00,
-                            blk,
-                            krn,
-                            &mut ab,
-                            &mut bb,
-                        )
-                    };
-                }
+                // SAFETY: queue items are pairwise disjoint and disjoint
+                // from the panel; L10/U01 band rows are not written by any
+                // other worker.
+                unsafe { step.drain() };
             });
             slot.into_inner()
                 .unwrap()
@@ -246,61 +214,74 @@ pub fn lu_parallel_with(
     Ok(LuFactorization { lu, perm, sign })
 }
 
-/// In-place partial-pivoting factorization of the `mrem x kb` panel whose
-/// top-left element is `(row0, col0)` of an `ld`-strided buffer. Replicates
-/// [`crate::lu::lu_unblocked`]'s arithmetic exactly (strict-`>` first-max
-/// pivot search, division by the pivot, row AXPYs in order), so the values
-/// it produces are bitwise identical to factoring a contiguous copy.
-/// Returns the panel-local permutation in one-line notation (or the
-/// panel-local singular column).
-///
-/// # Safety
-/// The panel region must be in-bounds and no other thread may read or
-/// write any element of it during the call.
-unsafe fn factor_panel(
-    ptr: *mut f64,
+/// The work of step `k` outside panel `k`, as a queue of column ranges
+/// that pool workers claim through `next`.
+struct Step<'a> {
+    ptr: SyncPtr,
     ld: usize,
-    row0: usize,
-    col0: usize,
-    mrem: usize,
+    m: usize,
+    k: usize,
     kb: usize,
-) -> Result<Vec<usize>, SingularMatrix> {
-    let el = |i: usize, j: usize| ptr.add((row0 + i) * ld + col0 + j);
-    let mut perm: Vec<usize> = (0..mrem).collect();
-    for k in 0..kb.min(mrem) {
-        let mut p = k;
-        let mut best = (*el(k, k)).abs();
-        for i in k + 1..mrem {
-            let v = (*el(i, k)).abs();
-            if v > best {
-                best = v;
-                p = i;
-            }
-        }
-        if best == 0.0 {
-            return Err(SingularMatrix { column: k });
-        }
-        if p != k {
-            let rp = std::slice::from_raw_parts_mut(el(p, 0), kb);
-            let rk = std::slice::from_raw_parts_mut(el(k, 0), kb);
-            rp.swap_with_slice(rk);
-            perm.swap(p, k);
-        }
-        let pivot = *el(k, k);
-        let rk = std::slice::from_raw_parts(el(k, 0) as *const f64, kb);
-        for i in k + 1..mrem {
-            let e = el(i, k);
-            let lik = *e / pivot;
-            *e = lik;
-            if lik != 0.0 {
-                let ri = std::slice::from_raw_parts_mut(el(i, 0), kb);
-                for j in k + 1..kb {
-                    ri[j] -= lik * rk[j];
-                }
+    l00: &'a Matrix,
+    blk: GemmBlocking,
+    krn: &'static Microkernel,
+    /// Panel `k`'s row order, when it moved any row.
+    rows: Option<&'a [usize]>,
+    /// Column bands right of the stripe: row order, TRSM, GEMM.
+    bands: Vec<(usize, usize)>,
+    /// Whether the `[0, k)` block still owes the row order (the queue's
+    /// last item).
+    left: bool,
+    next: AtomicUsize,
+}
+
+impl Step<'_> {
+    /// Queue length: the bands plus the `[0, k)` block.
+    fn items(&self) -> usize {
+        self.bands.len() + usize::from(self.left)
+    }
+
+    /// Claim and run queue items until none remain.
+    ///
+    /// # Safety
+    /// Rows `k..m` of every queued column range must be free of other
+    /// writers and readers, and `L10` free of writers, until the queue is
+    /// drained.
+    unsafe fn drain(&self) {
+        let (mut ab, mut bb) = (Vec::new(), Vec::new());
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if let Some(&(lo, hi)) = self.bands.get(i) {
+                self.columns(lo, hi, &mut ab, &mut bb);
+            } else if i == self.bands.len() && self.left {
+                gather_chunk(
+                    self.ptr.get(),
+                    self.ld,
+                    self.k,
+                    self.rows.unwrap(),
+                    0,
+                    self.k,
+                );
+            } else {
+                break;
             }
         }
     }
-    Ok(perm)
+
+    /// Columns `lo..hi` right of panel `k`: apply the row order, then
+    /// [`band_update`].
+    ///
+    /// # Safety
+    /// As [`band_update`].
+    unsafe fn columns(&self, lo: usize, hi: usize, ab: &mut Vec<f64>, bb: &mut Vec<f64>) {
+        let ptr = self.ptr.get();
+        if let Some(p) = self.rows {
+            gather_chunk(ptr, self.ld, self.k, p, lo, hi);
+        }
+        band_update(
+            ptr, self.ld, self.m, self.k, self.kb, lo, hi, self.l00, self.blk, self.krn, ab, bb,
+        );
+    }
 }
 
 /// One unit of trailing-update work for step `k`: columns `lo..hi` get
@@ -382,56 +363,6 @@ fn split_bands(lo: usize, hi: usize, threads: usize, nc: usize) -> Vec<(usize, u
         c = e;
     }
     bands
-}
-
-/// Apply the panel-local permutation `p` (one-line notation, rows
-/// `k..k+p.len()`) to the columns outside the panel (`[0,k)` and
-/// `[k+kb,n)`) as an in-place cycle-following gather, column-sliced across
-/// the pool. Pure data movement: identical to the save-and-rewrite gather
-/// in `lu_blocked` without its per-row allocations.
-fn apply_panel_perm_cols(lu: &mut Matrix, k: usize, kb: usize, p: &[usize], threads: usize) {
-    let n = lu.cols();
-    if p.iter().enumerate().all(|(i, &s)| i == s) {
-        return;
-    }
-    let total = k + n.saturating_sub(k + kb);
-    if total == 0 {
-        return;
-    }
-    let target = if threads <= 1 {
-        total
-    } else {
-        total.div_ceil(threads).max(128)
-    };
-    let mut chunks: Vec<(usize, usize)> = Vec::new();
-    for (rlo, rhi) in [(0, k), ((k + kb).min(n), n)] {
-        let mut c = rlo;
-        while c < rhi {
-            let e = (c + target).min(rhi);
-            chunks.push((c, e));
-            c = e;
-        }
-    }
-    let ld = n;
-    let ptr = SyncPtr(lu.as_mut_slice().as_mut_ptr());
-    if chunks.len() <= 1 || threads <= 1 {
-        for &(lo, hi) in &chunks {
-            // SAFETY: exclusive borrow of `lu`.
-            unsafe { gather_chunk(ptr.get(), ld, k, p, lo, hi) };
-        }
-    } else {
-        let counter = AtomicUsize::new(0);
-        pool::global().run(threads.min(chunks.len()), &|_| loop {
-            let ci = counter.fetch_add(1, Ordering::Relaxed);
-            if ci >= chunks.len() {
-                break;
-            }
-            let (lo, hi) = chunks[ci];
-            // SAFETY: chunks are pairwise-disjoint column ranges; `run`
-            // joins before `lu` is touched again.
-            unsafe { gather_chunk(ptr.get(), ld, k, p, lo, hi) };
-        });
-    }
 }
 
 /// Cycle-following in-place gather: for every row index `i` of the panel,

@@ -17,8 +17,9 @@
 //! ([`select_pivots_reference`]) and the building blocks the distributed
 //! code drives step by step ([`local_candidates`], [`playoff_round`]).
 
-use crate::lu::{lu_unblocked, LuFactorization};
+use crate::lu::SingularMatrix;
 use crate::matrix::Matrix;
+use crate::panel::{factor_in_place, PivotMode};
 
 /// Outcome of pivot selection on a panel.
 #[derive(Clone, Debug)]
@@ -43,13 +44,14 @@ pub struct Candidates {
 
 /// Reference pivot selection: run partial-pivoting LU on the whole panel and
 /// take the first `min(v, m)` pivot rows. This is what a non-communication-
-/// avoiding library would do, and it is the stability yardstick.
-pub fn select_pivots_reference(panel: &Matrix, v: usize) -> PivotSelection {
+/// avoiding library would do, and it is the stability yardstick. Fails as
+/// [`factor_chosen`] does when the chosen rows are singular.
+pub fn select_pivots_reference(panel: &Matrix, v: usize) -> Result<PivotSelection, SingularMatrix> {
     let v = v.min(panel.rows());
     let pivot_rows: Vec<usize> = pivot_order(panel)[..v].to_vec();
     let chosen = panel.gather_rows(&pivot_rows);
-    let a00 = factor_chosen(&chosen);
-    PivotSelection { pivot_rows, a00 }
+    let a00 = factor_chosen(&chosen)?;
+    Ok(PivotSelection { pivot_rows, a00 })
 }
 
 /// Partial-pivoting row order of `panel`, tolerating rank deficiency: a
@@ -57,46 +59,11 @@ pub fn select_pivots_reference(panel: &Matrix, v: usize) -> PivotSelection {
 /// instead of aborting, so exactly-singular panels — duplicate candidate
 /// rows in a playoff stack, rank-deficient inputs — still yield a
 /// deterministic ordering that places every independent row before the
-/// rows it spans.
+/// rows it spans. Runs the [`crate::panel`] kernel in
+/// [`PivotMode::SkipZero`].
 pub fn pivot_order(panel: &Matrix) -> Vec<usize> {
     let mut lu = panel.clone();
-    let (m, n) = lu.shape();
-    let mut perm: Vec<usize> = (0..m).collect();
-    for k in 0..n.min(m) {
-        let mut p = k;
-        let mut best = lu[(k, k)].abs();
-        for i in k + 1..m {
-            let v = lu[(i, k)].abs();
-            if v > best {
-                best = v;
-                p = i;
-            }
-        }
-        if best == 0.0 {
-            continue;
-        }
-        if p != k {
-            let (ra, rb) = if p < k { (p, k) } else { (k, p) };
-            let cols = lu.cols();
-            let (head, tail) = lu.as_mut_slice().split_at_mut(rb * cols);
-            head[ra * cols..(ra + 1) * cols].swap_with_slice(&mut tail[..cols]);
-            perm.swap(p, k);
-        }
-        let pivot = lu[(k, k)];
-        for i in k + 1..m {
-            let lik = lu[(i, k)] / pivot;
-            if lik != 0.0 {
-                let cols = lu.cols();
-                let (head, tail) = lu.as_mut_slice().split_at_mut(i * cols);
-                let rk = &head[k * cols..(k + 1) * cols];
-                let ri = &mut tail[..cols];
-                for j in k + 1..n {
-                    ri[j] -= lik * rk[j];
-                }
-            }
-        }
-    }
-    perm
+    factor_in_place(&mut lu, PivotMode::SkipZero).expect("a skipping factorization never fails")
 }
 
 /// Local stage of the tournament: nominate up to `v` candidate rows from
@@ -135,8 +102,13 @@ pub fn playoff_round(a: &Candidates, b: &Candidates, v: usize) -> Candidates {
 }
 
 /// Full tournament over `parts` row groups (serial driver used for testing
-/// and by the single-rank fallback paths).
-pub fn tournament_pivots(panel: &Matrix, v: usize, parts: usize) -> PivotSelection {
+/// and by the single-rank fallback paths). Fails as [`factor_chosen`] does
+/// when the winning rows are singular.
+pub fn tournament_pivots(
+    panel: &Matrix,
+    v: usize,
+    parts: usize,
+) -> Result<PivotSelection, SingularMatrix> {
     let m = panel.rows();
     assert!(parts >= 1);
     let group = m.div_ceil(parts.max(1)).max(1);
@@ -165,58 +137,41 @@ pub fn tournament_pivots(panel: &Matrix, v: usize, parts: usize) -> PivotSelecti
     }
     let winner = sets.pop().expect("panel must be non-empty");
     let chosen = panel.gather_rows(&winner.rows);
-    let a00 = factor_chosen(&chosen);
-    PivotSelection {
+    let a00 = factor_chosen(&chosen)?;
+    Ok(PivotSelection {
         pivot_rows: winner.rows,
         a00,
-    }
+    })
 }
 
 /// Factor the selected `v x v` pivot block *without* further row exchanges
-/// (the tournament already ordered the rows); returns packed `L\U`.
-///
-/// # Panics
-/// Panics if the chosen rows are numerically singular — the tournament
-/// guarantees a well-conditioned choice for full-rank panels.
-pub fn factor_chosen(chosen: &Matrix) -> Matrix {
-    let f: LuFactorization = lu_unblocked(chosen).expect("chosen pivot rows singular");
+/// (the tournament already ordered the rows); returns packed `L\U`, or the
+/// column at which the chosen rows turned out singular.
+pub fn factor_chosen(chosen: &Matrix) -> Result<Matrix, SingularMatrix> {
+    let mut lu = chosen.clone();
+    let perm = factor_in_place(&mut lu, PivotMode::Partial)?;
     // The tournament picks rows so that no further swapping is *needed* for
-    // stability, but lu_unblocked may still reorder; undo by refactoring
-    // without pivoting to keep row identities stable.
-    if f.perm.iter().enumerate().all(|(i, &p)| i == p) {
-        return f.lu;
+    // stability, but partial pivoting may still reorder; undo by
+    // refactoring without pivoting to keep row identities stable.
+    if perm.iter().enumerate().all(|(i, &p)| i == p) {
+        return Ok(lu);
     }
     lu_no_pivot(chosen)
 }
 
-/// LU without pivoting (used on tournament-selected blocks, which are
-/// guaranteed to have acceptable pivots on the diagonal path).
-pub fn lu_no_pivot(a: &Matrix) -> Matrix {
+/// LU without pivoting (used on tournament-selected blocks, whose pivots
+/// lie on the diagonal path); returns packed `L\U`, or the first column
+/// whose diagonal pivot is zero.
+pub fn lu_no_pivot(a: &Matrix) -> Result<Matrix, SingularMatrix> {
     let mut lu = a.clone();
-    let (m, n) = lu.shape();
-    for k in 0..n.min(m) {
-        let pivot = lu[(k, k)];
-        assert!(pivot != 0.0, "zero pivot in no-pivot LU at {k}");
-        for i in k + 1..m {
-            let lik = lu[(i, k)] / pivot;
-            lu[(i, k)] = lik;
-            if lik != 0.0 {
-                let cols = lu.cols();
-                let (head, tail) = lu.as_mut_slice().split_at_mut(i * cols);
-                let rk = &head[k * cols..(k + 1) * cols];
-                let ri = &mut tail[..cols];
-                for j in k + 1..n {
-                    ri[j] -= lik * rk[j];
-                }
-            }
-        }
-    }
-    lu
+    factor_in_place(&mut lu, PivotMode::NoPivot)?;
+    Ok(lu)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lu::lu_unblocked;
     use crate::SplitMix64;
 
     fn growth_of_selection(panel: &Matrix, sel: &PivotSelection) -> f64 {
@@ -227,7 +182,7 @@ mod tests {
     fn reference_selection_matches_partial_pivoting_rows() {
         let mut rng = SplitMix64::new(40);
         let panel = Matrix::random(&mut rng, 20, 4);
-        let sel = select_pivots_reference(&panel, 4);
+        let sel = select_pivots_reference(&panel, 4).unwrap();
         assert_eq!(sel.pivot_rows.len(), 4);
         // all pivot rows distinct and in range
         let mut sorted = sel.pivot_rows.clone();
@@ -242,7 +197,7 @@ mod tests {
         let mut rng = SplitMix64::new(41);
         for parts in [1, 2, 3, 4, 8] {
             let panel = Matrix::random(&mut rng, 64, 8);
-            let sel = tournament_pivots(&panel, 8, parts);
+            let sel = tournament_pivots(&panel, 8, parts).unwrap();
             assert_eq!(sel.pivot_rows.len(), 8, "parts={parts}");
             let mut sorted = sel.pivot_rows.clone();
             sorted.sort_unstable();
@@ -255,7 +210,7 @@ mod tests {
     fn a00_factors_the_chosen_rows() {
         let mut rng = SplitMix64::new(42);
         let panel = Matrix::random(&mut rng, 32, 6);
-        let sel = tournament_pivots(&panel, 6, 4);
+        let sel = tournament_pivots(&panel, 6, 4).unwrap();
         let chosen = panel.gather_rows(&sel.pivot_rows);
         let recon = sel.a00.unit_lower().matmul(&sel.a00.upper());
         assert!(
@@ -272,8 +227,8 @@ mod tests {
         let mut worst_ratio: f64 = 0.0;
         for _ in 0..20 {
             let panel = Matrix::random(&mut rng, 48, 6);
-            let t = tournament_pivots(&panel, 6, 4);
-            let r = select_pivots_reference(&panel, 6);
+            let t = tournament_pivots(&panel, 6, 4).unwrap();
+            let r = select_pivots_reference(&panel, 6).unwrap();
             let ratio = growth_of_selection(&panel, &t) / growth_of_selection(&panel, &r);
             worst_ratio = worst_ratio.max(ratio);
         }
@@ -287,8 +242,8 @@ mod tests {
     fn single_part_tournament_equals_reference() {
         let mut rng = SplitMix64::new(44);
         let panel = Matrix::random(&mut rng, 24, 5);
-        let t = tournament_pivots(&panel, 5, 1);
-        let r = select_pivots_reference(&panel, 5);
+        let t = tournament_pivots(&panel, 5, 1).unwrap();
+        let r = select_pivots_reference(&panel, 5).unwrap();
         assert_eq!(t.pivot_rows, r.pivot_rows);
     }
 
@@ -299,7 +254,7 @@ mod tests {
         let mut panel = Matrix::random(&mut rng, 16, 2);
         panel[(11, 0)] = 1000.0;
         panel[(11, 1)] = -999.0;
-        let sel = tournament_pivots(&panel, 2, 4);
+        let sel = tournament_pivots(&panel, 2, 4).unwrap();
         assert!(
             sel.pivot_rows.contains(&11),
             "dominant row must win the tournament"
@@ -310,7 +265,7 @@ mod tests {
     fn panel_shorter_than_v() {
         let mut rng = SplitMix64::new(46);
         let panel = Matrix::random(&mut rng, 3, 8);
-        let sel = tournament_pivots(&panel, 8, 2);
+        let sel = tournament_pivots(&panel, 8, 2).unwrap();
         assert_eq!(sel.pivot_rows.len(), 3);
     }
 
@@ -341,7 +296,7 @@ mod tests {
             }
         });
         for parts in [1, 2, 3, 4] {
-            let sel = tournament_pivots(&panel, v, parts);
+            let sel = tournament_pivots(&panel, v, parts).unwrap();
             assert_eq!(sel.pivot_rows.len(), v, "parts={parts}");
             // the selected rows must be independent (rows 0 and 1 are the
             // only independent pair up to duplicates)
@@ -355,8 +310,24 @@ mod tests {
     fn lu_no_pivot_reconstructs() {
         let mut rng = SplitMix64::new(47);
         let a = Matrix::random_diagonally_dominant(&mut rng, 12);
-        let lu = lu_no_pivot(&a);
+        let lu = lu_no_pivot(&a).unwrap();
         let recon = lu.unit_lower().matmul(&lu.upper());
         assert!(recon.allclose(&a, 1e-9));
+    }
+
+    #[test]
+    fn singular_blocks_are_typed_errors() {
+        // a zero second pivot: no-pivot LU and the chosen-block factor
+        // name column 1 instead of panicking
+        let a = Matrix::from_fn(3, 3, |i, j| if i == 0 || j == 2 { 1.0 } else { 0.0 });
+        assert_eq!(lu_no_pivot(&a).unwrap_err(), SingularMatrix { column: 1 });
+        assert_eq!(factor_chosen(&a).unwrap_err(), SingularMatrix { column: 1 });
+        // two identical rows: every selection of two rows is singular
+        let panel = Matrix::from_fn(2, 2, |_, j| 1.0 + j as f64);
+        assert_eq!(
+            tournament_pivots(&panel, 2, 1).unwrap_err(),
+            SingularMatrix { column: 1 }
+        );
+        assert!(select_pivots_reference(&panel, 2).is_err());
     }
 }

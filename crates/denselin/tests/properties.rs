@@ -4,10 +4,12 @@
 use denselin::cholesky::{cholesky_blocked, cholesky_residual, random_spd};
 use denselin::gemm::{
     force_kernel, gemm_emulated, gemm_reference, gemm_with, microkernels, GemmBlocking, GemmConfig,
+    KernelRequirement,
 };
 use denselin::lu::{lu_blocked, lu_unblocked};
 use denselin::lu_parallel::lu_parallel_with;
 use denselin::matrix::Matrix;
+use denselin::panel::{factor_in_place, PivotMode};
 use denselin::trsm::{
     trsm_lower_left, trsm_lower_left_parallel, trsm_lower_right, trsm_upper_left,
     trsm_upper_left_parallel, trsm_upper_right,
@@ -459,6 +461,198 @@ fn lu_parallel_wilkinson_bitwise() {
             assert_eq!(s.lu.as_slice(), p.lu.as_slice());
         },
     );
+}
+
+/// The right-looking rank-1 loop the panel kernel must reproduce, in all
+/// three pivot modes: [`lu_unblocked`]'s loop for `Partial`, with skipped
+/// columns zeroed below the diagonal for `SkipZero`, with no search for
+/// `NoPivot`. Returns the factors and permutation, or the singular column.
+fn rank1_panel(a: &Matrix, mode: PivotMode) -> Result<(Matrix, Vec<usize>), usize> {
+    let mut lu = a.clone();
+    let (m, n) = lu.shape();
+    let mut perm: Vec<usize> = (0..m).collect();
+    for k in 0..m.min(n) {
+        let mut p = k;
+        if mode == PivotMode::NoPivot {
+            if lu[(k, k)] == 0.0 {
+                return Err(k);
+            }
+        } else {
+            let mut best = lu[(k, k)].abs();
+            for i in k + 1..m {
+                let v = lu[(i, k)].abs();
+                if v > best {
+                    best = v;
+                    p = i;
+                }
+            }
+            if best == 0.0 {
+                if mode == PivotMode::Partial {
+                    return Err(k);
+                }
+                for i in k + 1..m {
+                    lu[(i, k)] = 0.0;
+                }
+                continue;
+            }
+        }
+        if p != k {
+            lu.swap_rows(p, k);
+            perm.swap(p, k);
+        }
+        let pivot = lu[(k, k)];
+        for i in k + 1..m {
+            let l = lu[(i, k)] / pivot;
+            lu[(i, k)] = l;
+            if l != 0.0 {
+                for j in k + 1..n {
+                    let u = lu[(k, j)];
+                    lu[(i, j)] -= l * u;
+                }
+            }
+        }
+    }
+    Ok((lu, perm))
+}
+
+/// One variant name per instruction set the host can run, so the panel
+/// kernel is checked on each of its compilations.
+fn panel_isas() -> Vec<&'static str> {
+    let mut names = Vec::new();
+    for req in [
+        KernelRequirement::Baseline,
+        KernelRequirement::Avx2Fma,
+        KernelRequirement::Avx512f,
+    ] {
+        if let Some(k) = microkernels()
+            .iter()
+            .find(|k| k.requires == req && k.supported())
+        {
+            names.push(k.name);
+        }
+    }
+    names
+}
+
+/// The bits of `m` with every NaN mapped to one pattern: Rust leaves the
+/// sign and payload of a NaN result unspecified (LLVM may swap the
+/// operands of a product), so only "is NaN" is pinned.
+fn bits_nan_as_one(m: &Matrix) -> Vec<u64> {
+    m.as_slice()
+        .iter()
+        .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+/// Run the kernel on a copy of `a` under every ISA and check it against
+/// the rank-1 loop bit for bit (or on the singular column it names).
+fn assert_panel_matches_rank1(a: &Matrix, mode: PivotMode) {
+    let want = rank1_panel(a, mode);
+    if mode == PivotMode::Partial {
+        // the oracle itself is lu_unblocked's loop
+        match (&want, lu_unblocked(a)) {
+            (Ok((lu, perm)), Ok(f)) => {
+                assert_eq!(bits_nan_as_one(lu), bits_nan_as_one(&f.lu));
+                assert_eq!(perm, &f.perm);
+            }
+            (Err(c), Err(e)) => assert_eq!(*c, e.column),
+            _ => panic!("the rank-1 oracle disagrees with lu_unblocked"),
+        }
+    }
+    for isa in panel_isas() {
+        let _force = force_kernel(isa).unwrap();
+        let mut lu = a.clone();
+        match (factor_in_place(&mut lu, mode), &want) {
+            (Ok(perm), Ok((wlu, wperm))) => {
+                assert_eq!(&perm, wperm, "{isa} {mode:?}: permutations differ");
+                assert_eq!(
+                    bits_nan_as_one(&lu),
+                    bits_nan_as_one(wlu),
+                    "{isa} {mode:?}: factors differ"
+                );
+            }
+            (Err(e), Err(c)) => assert_eq!(e.column, *c, "{isa} {mode:?}"),
+            (got, _) => panic!(
+                "{isa} {mode:?}: kernel ok={} where the rank-1 loop ok={}",
+                got.is_ok(),
+                want.is_ok()
+            ),
+        }
+    }
+}
+
+/// An `m x n` panel of one value class: 0 uniform, 1 small integers (ties
+/// in |pivot|, exact zero and negative-zero multipliers), 2 uniform with
+/// zeros, negative zeros, subnormals, infinities and NaNs sprinkled in.
+fn panel_values(seed: u64, m: usize, n: usize, class: usize) -> Matrix {
+    let mut rng = SplitMix64::new(seed);
+    let specials = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 8.0,
+        -f64::MIN_POSITIVE / 1024.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1.0,
+        -1.0,
+    ];
+    Matrix::from_fn(m, n, |_, _| match class {
+        0 => rng.symmetric(),
+        1 => *rng.choose(&[-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 2.0]),
+        _ if rng.below(6) == 0 => *rng.choose(&specials),
+        _ => rng.symmetric(),
+    })
+}
+
+#[test]
+fn panel_kernel_is_bitwise_rank1_in_every_mode() {
+    check(
+        96,
+        "seed, m, kb, class",
+        |r| {
+            let kb = *r.choose(&[1usize, 7, 9, 33, 64]);
+            let m = match r.below(3) {
+                0 => pick(r, 1..4),
+                1 => pick(r, 1..kb + 1),
+                _ => pick(r, kb..kb + 80),
+            };
+            (pick(r, 0..1000) as u64, m, kb, r.below(3))
+        },
+        |&(_, m, kb, _)| m * kb,
+        |&(seed, m, kb, class)| {
+            let a = panel_values(seed, m, kb, class);
+            for mode in [PivotMode::Partial, PivotMode::SkipZero, PivotMode::NoPivot] {
+                assert_panel_matches_rank1(&a, mode);
+            }
+        },
+    );
+}
+
+#[test]
+fn panel_singular_column_is_named_alike() {
+    // a zero column at the first, a middle and the last column of the
+    // first and second chunks: partial and no-pivot LU must stop there
+    // exactly as the rank-1 loop does, and the skipping mode must carry on
+    // without letting a NaN below the skipped diagonal into later columns
+    for zero_col in [0, 3, 7, 8, 11, 15] {
+        for m in [zero_col + 1, 40] {
+            for nan_below in [false, m > zero_col + 1] {
+                let mut a = panel_values(zero_col as u64, m, 24, 0);
+                for i in 0..m {
+                    a[(i, zero_col)] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                if nan_below {
+                    a[(m - 1, zero_col)] = f64::NAN;
+                }
+                for mode in [PivotMode::Partial, PivotMode::SkipZero, PivotMode::NoPivot] {
+                    assert_panel_matches_rank1(&a, mode);
+                }
+                let e = factor_in_place(&mut a.clone(), PivotMode::Partial).unwrap_err();
+                assert_eq!(e.column, zero_col);
+            }
+        }
+    }
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! in bytes (factors of different orders have wildly different footprints,
 //! so entry-count limits would be meaningless), evicting least-recently
 //! used first, and counting hits/misses/evictions for the
-//! [`crate::ServiceStats`] snapshot.
+//! [`crate::ServiceStats`] snapshot. Factors are immutable once cached and
+//! shared behind an [`Arc`]: a hit hands out a pointer, not a copy.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,9 +36,8 @@ pub enum CachedFactor {
     /// Prepared preconditioner for a sparse CG solve — the sparse analogue
     /// of a dense factor: setup (level schedules, extracted triangles /
     /// diagonal) is the expensive pattern-dependent phase, and caching it
-    /// lets repeat solves skip straight to the iteration. `Arc`-shared
-    /// because unlike the dense factors it is applied read-only, so cache
-    /// lookups clone a pointer, not the payload.
+    /// lets repeat solves skip straight to the iteration. `Arc`-shared so
+    /// a CG batch can hold it apart from the cache entry.
     Sparse {
         /// The cached setup.
         setup: Arc<PrecondSetup>,
@@ -120,7 +120,7 @@ impl CachedFactor {
 
 #[derive(Debug)]
 struct Entry {
-    factor: CachedFactor,
+    factor: Arc<CachedFactor>,
     bytes: usize,
     last_used: u64,
 }
@@ -183,18 +183,17 @@ impl FactorCache {
     }
 
     /// Look up a factor, counting a hit or miss and refreshing recency.
-    /// Returns a clone-free shared handle via the closure-less API the
-    /// worker needs: the factor is cloned out (factor payloads are
-    /// `Arc`-free matrices; clone cost is `O(n²)` against the `O(n²·k)`
-    /// solve it enables, and it lets workers solve outside the lock).
-    pub fn lookup(&mut self, fp: Fingerprint) -> Option<CachedFactor> {
+    /// Returns a shared handle (a pointer clone, `O(1)` under the caller's
+    /// lock), so workers solve outside the lock and an eviction never
+    /// pulls a factor from under a solve in flight.
+    pub fn lookup(&mut self, fp: Fingerprint) -> Option<Arc<CachedFactor>> {
         self.tick += 1;
         let tick = self.tick;
         match self.entries.get_mut(&fp) {
             Some(e) => {
                 e.last_used = tick;
                 self.hits += 1;
-                Some(e.factor.clone())
+                Some(Arc::clone(&e.factor))
             }
             None => {
                 self.misses += 1;
@@ -223,7 +222,7 @@ impl FactorCache {
 
     /// Borrow a resident factor without touching the hit/miss counters or
     /// recency (replication reads, not client traffic).
-    pub fn peek(&self, fp: Fingerprint) -> Option<&CachedFactor> {
+    pub fn peek(&self, fp: Fingerprint) -> Option<&Arc<CachedFactor>> {
         self.entries.get(&fp).map(|e| &e.factor)
     }
 
@@ -238,8 +237,9 @@ impl FactorCache {
     /// Insert a factor, evicting least-recently-used entries until the
     /// budget holds. A factor larger than the whole budget is still
     /// admitted alone (the service must be able to serve it); it will be
-    /// the first evicted when anything else arrives.
-    pub fn insert(&mut self, fp: Fingerprint, factor: CachedFactor) {
+    /// the first evicted when anything else arrives. The cache keeps the
+    /// handle it is given; callers keep theirs.
+    pub fn insert(&mut self, fp: Fingerprint, factor: Arc<CachedFactor>) {
         let bytes = factor.bytes();
         self.tick += 1;
         if let Some(old) = self.entries.remove(&fp) {
@@ -274,7 +274,7 @@ mod tests {
     use super::*;
     use denselin::lu_blocked;
 
-    fn factor_of(n: usize, seed: u64) -> (Fingerprint, CachedFactor) {
+    fn factor_of(n: usize, seed: u64) -> (Fingerprint, Arc<CachedFactor>) {
         let a = Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 n as f64 + seed as f64
@@ -283,7 +283,7 @@ mod tests {
             }
         });
         let f = lu_blocked(&a, 8).unwrap();
-        (Fingerprint::of(&a), CachedFactor::Lu(f))
+        (Fingerprint::of(&a), Arc::new(CachedFactor::Lu(f)))
     }
 
     #[test]

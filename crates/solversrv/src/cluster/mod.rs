@@ -524,7 +524,7 @@ impl ClusterShared {
         self.revives.fetch_add(1, Ordering::Relaxed);
         // collect factors whose primary is the revived shard, one donor
         // lock at a time (never two shard locks at once)
-        let mut moved: Vec<(Fingerprint, CachedFactor)> = Vec::new();
+        let mut moved: Vec<(Fingerprint, Arc<CachedFactor>)> = Vec::new();
         for (t, shard) in self.shards.iter().enumerate() {
             if t == sid {
                 continue;
@@ -538,7 +538,7 @@ impl ClusterShared {
                     && !moved.iter().any(|(m, _)| *m == fp)
                 {
                     if let Some(f) = st.cache.peek(fp) {
-                        moved.push((fp, f.clone()));
+                        moved.push((fp, Arc::clone(f)));
                     }
                 }
             }
@@ -557,8 +557,8 @@ impl ClusterShared {
         true
     }
 
-    /// Copy a freshly factored entry to the rest of its replica set.
-    fn replicate(&self, from: usize, fp: Fingerprint, factor: &CachedFactor, route: &[usize]) {
+    /// Share a freshly factored entry with the rest of its replica set.
+    fn replicate(&self, from: usize, fp: Fingerprint, factor: &Arc<CachedFactor>, route: &[usize]) {
         if !self.cfg.replicate_hot {
             return;
         }
@@ -568,7 +568,7 @@ impl ClusterShared {
             }
             let mut st = self.shards[t].state.lock().unwrap();
             if st.alive && !st.cache.contains(fp) {
-                st.cache.insert(fp, factor.clone());
+                st.cache.insert(fp, Arc::clone(factor));
                 self.replicated.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -809,16 +809,17 @@ fn worker_loop(sh: &ClusterShared, sid: usize) {
                         }
                         let fp = lead.fp;
                         let route = lead.route.clone();
-                        st.cache.insert(fp, factored.factor.clone());
+                        let factor = Arc::new(factored.factor);
+                        st.cache.insert(fp, Arc::clone(&factor));
                         let batch = coalesce(&mut st, lead, sh.cfg.max_batch, false, true);
                         st.cache.note_extra_hits(batch.len() as u64 - 1);
                         drop(st);
-                        sh.replicate(sid, fp, &factored.factor, &route);
+                        sh.replicate(sid, fp, &factor, &route);
                         run_batch(
                             sh,
                             sid,
                             epoch0,
-                            &factored.factor,
+                            &factor,
                             batch,
                             factor_time,
                             factored.distributed,

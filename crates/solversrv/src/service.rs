@@ -448,7 +448,8 @@ fn worker_loop(shared: &Shared, tracer: &mut RankTracer) {
                         if factored.spd_fallback {
                             st.collector.spd_fallbacks += 1;
                         }
-                        st.cache.insert(lead.fp, factored.factor.clone());
+                        let factor = Arc::new(factored.factor);
+                        st.cache.insert(lead.fp, Arc::clone(&factor));
                         // the leader was a miss; riders are served from
                         // the just-inserted factor and count as hits
                         let batch = coalesce(&mut st, lead, shared.cfg.max_batch, false, true);
@@ -457,7 +458,7 @@ fn worker_loop(shared: &Shared, tracer: &mut RankTracer) {
                         solve_batch(
                             shared,
                             tracer,
-                            &factored.factor,
+                            &factor,
                             batch,
                             factor_time,
                             factored.distributed,

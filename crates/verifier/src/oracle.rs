@@ -35,7 +35,7 @@ use baselines::lu2d::{factorize_2d, Lu2dConfig, Variant};
 use baselines::{factorize_candmc, CandmcConfig};
 use conflux::{
     factorize_cholesky, try_factorize, try_factorize_threaded, CholeskyConfig, ConfluxConfig,
-    LuGrid,
+    LuCause, LuGrid,
 };
 use denselin::cholesky::cholesky_residual;
 use denselin::{
@@ -445,6 +445,17 @@ fn run_lu(sc: &Scenario) -> Vec<CheckOutcome> {
                 &mut out,
             );
         }
+        Ok(Err(err)) if matches!(err.error, LuCause::Singular { .. }) => {
+            // a singular pivot block is a refusal of the input, judged like
+            // any other implementation's decline
+            judge_lu(
+                "conflux",
+                &LuOutcome::Declined(format!("{err}")),
+                sc,
+                false,
+                &mut out,
+            );
+        }
         Ok(Err(err)) => {
             // a structured abort is only legitimate for an unrecoverable
             // crash plan (a dead rank with no replica layer to fail over to)
@@ -678,7 +689,14 @@ fn run_lu(sc: &Scenario) -> Vec<CheckOutcome> {
             false,
             &mut out,
         ),
-        Ok(run) => {
+        Ok(Err(err)) => judge_lu(
+            "candmc",
+            &LuOutcome::Declined(format!("{err}")),
+            sc,
+            false,
+            &mut out,
+        ),
+        Ok(Ok(run)) => {
             let outcome = match run.factors {
                 Some(f) => classify(f, &a),
                 None => LuOutcome::Declined("dense run returned no factors".into()),

@@ -31,7 +31,8 @@ fn main() {
 
     let grid = choose_grid(p, n, m);
     let v = 16;
-    let candmc = factorize_candmc(&CandmcConfig::phantom(n, v, grid), None);
+    let candmc = factorize_candmc(&CandmcConfig::phantom(n, v, grid), None)
+        .expect("a Phantom run does no arithmetic, so it cannot be singular");
     rows.push(("CANDMC", candmc.stats.total_sent()));
 
     let conflux = factorize(&ConfluxConfig::phantom(n, v, grid), None);

@@ -217,7 +217,7 @@ fn candmc_produces_valid_factorizations() {
     for (seed, n, v, q, c) in [(300, 48, 8, 2, 1), (301, 64, 8, 2, 2), (302, 96, 16, 2, 2)] {
         let a = random_matrix(seed, n);
         let grid = LuGrid::new(q * q * c, q, c);
-        let run = factorize_candmc(&CandmcConfig::dense(n, v, grid), Some(&a));
+        let run = factorize_candmc(&CandmcConfig::dense(n, v, grid), Some(&a)).unwrap();
         let f = run.factors.unwrap();
         let res = f.residual(&a);
         assert!(res < 1e-9, "n={n} q={q} c={c}: residual {res:.2e}");
@@ -254,6 +254,7 @@ fn all_four_solve_the_same_system() {
 
     // candmc
     let f3 = factorize_candmc(&CandmcConfig::dense(n, 8, grid), Some(&a))
+        .unwrap()
         .factors
         .unwrap();
     assert!(

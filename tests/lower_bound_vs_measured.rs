@@ -39,7 +39,7 @@ fn all_implementations_dominate_the_lower_bound() {
             "COnfLUX beat the lower bound?! n={n} p={p}: {conflux_per_rank} < {bound_per_rank}"
         );
 
-        let candmc_run = factorize_candmc(&CandmcConfig::phantom(n, v, grid), None);
+        let candmc_run = factorize_candmc(&CandmcConfig::phantom(n, v, grid), None).unwrap();
         let candmc_per_rank = candmc_run.stats.total_sent() as f64 / grid.active() as f64;
         assert!(
             candmc_per_rank >= bound_per_rank,

@@ -147,7 +147,7 @@ fn tournament_pivots_are_distinct_and_in_range() {
         |&(seed, rows, v, parts)| {
             let v = v.min(rows);
             let panel = random_panel(seed, rows, v);
-            let sel = tournament_pivots(&panel, v, parts);
+            let sel = tournament_pivots(&panel, v, parts).unwrap();
             assert_eq!(sel.pivot_rows.len(), v);
             let mut sorted = sel.pivot_rows.clone();
             sorted.sort_unstable();
@@ -172,7 +172,7 @@ fn tournament_survives_singular_playoff_stacks() {
             // denselin::tournament)
             let v = v.min(rows / 2);
             let panel = wilkinson_panel(rows, v);
-            let sel = tournament_pivots(&panel, v, parts);
+            let sel = tournament_pivots(&panel, v, parts).unwrap();
             assert_eq!(sel.pivot_rows.len(), v);
             let mut chosen = Matrix::zeros(v, v);
             for (i, &r) in sel.pivot_rows.iter().enumerate() {
