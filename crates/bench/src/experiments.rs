@@ -1,4 +1,4 @@
-//! Sweep machinery shared by the table/figure binaries and benches.
+//! Sweep machinery shared by the `repro` blocks and `tracecap`.
 
 use baselines::lu2d::{factorize_2d, Lu2dConfig, Variant};
 use baselines::{factorize_candmc, CandmcConfig};
@@ -217,9 +217,10 @@ mod tests {
 
     #[test]
     fn paper_configurations_pick_pinned_grids() {
-        // every (P, N) that table2, fig6a, fig6b and fig7 measure, with the
-        // [q, q, c] grid `choose_grid` picks in the Fig. 6 memory regime; a
-        // model change that moves a paper grid shows up as a diff here
+        // every (P, N) that repro's table2, fig6a, fig6b, fig7 and ablations
+        // blocks measure, with the [q, q, c] grid `choose_grid` picks in the
+        // Fig. 6 memory regime; a model change that moves a paper grid
+        // shows up as a diff here
         let table2 = [
             (64, 4096, [4, 4, 4]),
             (1024, 4096, [13, 13, 6]),
@@ -254,17 +255,18 @@ mod tests {
                 (1024, n, [13, 13, 6]),
             ]
         });
-        let measured = table2.into_iter().chain(fig6a).chain(fig6b).chain(fig7);
+        // the ablations' grid-optimization case, at an awkward P
+        let ablations = [(60, 1024, [5, 5, 2])];
+        let measured = table2
+            .into_iter()
+            .chain(fig6a)
+            .chain(fig6b)
+            .chain(fig7)
+            .chain(ablations);
         for (p, n, want) in measured {
             let g = choose_grid(p, n, fig6_memory_elems(n, p));
             assert_eq!([g.q, g.q, g.c], want, "p={p} n={n}");
         }
-        // the ablations bin's grid-optimization case: P = 60, N = 1024,
-        // with its own (truncating) memory formula
-        let (p, n) = (60, 1024);
-        let m = ((n * n) as f64 / (p as f64).powf(2.0 / 3.0)) as usize;
-        let g = choose_grid(p, n, m);
-        assert_eq!([g.q, g.q, g.c], [5, 5, 2]);
     }
 
     #[test]

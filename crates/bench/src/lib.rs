@@ -1,11 +1,13 @@
 //! `conflux-bench` — the experiment harness reproducing every table and
 //! figure of the paper's evaluation (Sections 8–9).
 //!
-//! The library half hosts the shared sweep machinery; the binaries
-//! (`table2`, `fig6a`, `fig6b`, `fig7` for volumes, `tracecap` for event
-//! timelines and critical paths, `perfsmoke` for kernel GFLOP/s) print the
-//! paper's rows/series, and the Criterion benches time reduced-scale
-//! versions of the same sweeps.
+//! The library half hosts the shared sweep machinery (`experiments`) and
+//! the renderers of the `repro` binary (`repro`), which prints every
+//! deterministic paper number (Table 2, Fig. 6a, 6b, 7, the ablations and
+//! the theory results) as the markdown block EXPERIMENTS.md shows, and
+//! checks those blocks with `repro --check`. The other binaries measure
+//! time: `tracecap` (event timelines and critical paths), `perfsmoke`
+//! (kernel GFLOP/s), `servload`, `sparsesmoke`, `tune` and `verify_fuzz`.
 //!
 //! # Example
 //!
@@ -25,6 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod format;
+pub mod repro;
 
 pub use experiments::{measure_all, measure_conflux, pick_block_size, Implementation, Measurement};
