@@ -35,6 +35,3 @@ pub mod models;
 
 pub use candmc::{factorize_candmc, CandmcConfig, CandmcRun};
 pub use lu2d::{factorize_2d, Lu2dConfig, Lu2dRun, Variant};
-
-pub mod lu1d;
-pub use lu1d::{factorize_1d_threaded, Lu1dRun};

@@ -58,7 +58,7 @@ fn main() {
     };
     let threads = auto_threads();
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let blk = GemmBlocking::tuned();
+    let blk = GemmBlocking::default();
     println!(
         "# perfsmoke: blocking mc={} kc={} nc={}, {threads} thread(s), {cores} core(s)",
         blk.mc, blk.kc, blk.nc

@@ -17,7 +17,7 @@
 use baselines::lu2d::{factorize_2d, Lu2dConfig, Variant};
 use conflux::grid::choose_grid;
 use conflux::{factorize, ConfluxConfig, Mode};
-use conflux_bench::experiments::{fig6_memory_elems, pick_block_size};
+use conflux_bench::experiments::pick_block_size;
 
 fn arg_usize(args: &[String], name: &str, default: usize) -> usize {
     args.iter()
@@ -39,7 +39,7 @@ fn main() {
         .unwrap_or_else(|| format!("{}/../..", env!("CARGO_MANIFEST_DIR")));
 
     // ---- traced COnfLUX run (Phantom: volumes + timeline, no numerics) ----
-    let m = fig6_memory_elems(n, p);
+    let m = baselines::models::fig6_memory(n as f64, p as f64).ceil() as usize;
     let grid = choose_grid(p, n, m);
     let v = pick_block_size(n, grid.q, grid.c);
     println!(

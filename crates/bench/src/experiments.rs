@@ -1,7 +1,7 @@
 //! Sweep machinery shared by the `repro` blocks and `tracecap`.
 
 use baselines::lu2d::{factorize_2d, Lu2dConfig, Variant};
-use baselines::{factorize_candmc, CandmcConfig};
+use baselines::{factorize_candmc, models, CandmcConfig};
 use conflux::grid::choose_grid;
 use conflux::{factorize, ConfluxConfig, Mode};
 use simnet::stats::ELEMENT_BYTES;
@@ -104,16 +104,10 @@ pub fn pick_block_size(n: usize, q: usize, c: usize) -> usize {
     best.expect("n has a divisor >= c")
 }
 
-/// Memory per rank in the paper's Fig. 6 regime (`M = N²/P^(2/3)`,
-/// enough for `c = P^(1/3)` replication), in elements.
-pub fn fig6_memory_elems(n: usize, p: usize) -> usize {
-    ((n * n) as f64 / (p as f64).powf(2.0 / 3.0)).ceil() as usize
-}
-
 /// Measure one implementation (Phantom mode) at `(n, p)` in the Fig. 6
 /// memory regime.
 pub fn measure(imp: Implementation, n: usize, p: usize) -> Measurement {
-    let m = fig6_memory_elems(n, p);
+    let m = models::fig6_memory(n as f64, p as f64).ceil() as usize;
     match imp {
         Implementation::LibSci | Implementation::Slate => {
             let variant = if imp == Implementation::LibSci {
@@ -123,7 +117,7 @@ pub fn measure(imp: Implementation, n: usize, p: usize) -> Measurement {
             };
             let cfg = Lu2dConfig::for_ranks(n, p, variant, Mode::Phantom);
             let run = factorize_2d(&cfg, None);
-            let model = baselines::models::libsci_per_rank(n as f64, p as f64);
+            let model = models::libsci_per_rank(n as f64, p as f64);
             Measurement {
                 implementation: imp,
                 n,
@@ -138,7 +132,7 @@ pub fn measure(imp: Implementation, n: usize, p: usize) -> Measurement {
             let v = pick_block_size(n, grid.q, grid.c);
             let run = factorize_candmc(&CandmcConfig::phantom(n, v, grid), None)
                 .expect("a Phantom run does no arithmetic, so it cannot be singular");
-            let model = baselines::models::candmc_per_rank(
+            let model = models::candmc_per_rank(
                 n as f64,
                 grid.active() as f64,
                 grid.memory_per_rank(n) as f64,
@@ -264,7 +258,11 @@ mod tests {
             .chain(fig7)
             .chain(ablations);
         for (p, n, want) in measured {
-            let g = choose_grid(p, n, fig6_memory_elems(n, p));
+            let g = choose_grid(
+                p,
+                n,
+                models::fig6_memory(n as f64, p as f64).ceil() as usize,
+            );
             assert_eq!([g.q, g.q, g.c], want, "p={p} n={n}");
         }
     }

@@ -7,7 +7,7 @@
 //! the theory results) as the markdown block EXPERIMENTS.md shows, and
 //! checks those blocks with `repro --check`. The other binaries measure
 //! time: `tracecap` (event timelines and critical paths), `perfsmoke`
-//! (kernel GFLOP/s), `servload`, `sparsesmoke`, `tune` and `verify_fuzz`.
+//! (kernel GFLOP/s), `servload`, `sparsesmoke` and `verify_fuzz`.
 //!
 //! # Example
 //!

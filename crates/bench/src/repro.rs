@@ -20,7 +20,7 @@ use conflux::{factorize, ConfluxConfig, PivotStrategy};
 use iobound::{kernels, lu_bound, minimize_rho, mmm_bound, shapes, statement_rho, LuBound};
 use simnet::{BcastAlgo, ELEMENT_BYTES};
 
-use crate::experiments::{fig6_memory_elems, measure_all, Implementation, Measurement};
+use crate::experiments::{measure_all, Implementation, Measurement};
 
 /// A block renderer: it measures the points it needs through the sweep.
 pub type Render = fn(&mut Sweep) -> String;
@@ -267,7 +267,11 @@ COnfLUX against the Section 6 bound at the Table 2 points (mean over the active 
         "N | P | grid | COnfLUX [elements] | per active rank | bound per rank | measured/bound",
     );
     for (n, p, _) in PAPER_TABLE2 {
-        let g = choose_grid(p, n, fig6_memory_elems(n, p));
+        let g = choose_grid(
+            p,
+            n,
+            models::fig6_memory(n as f64, p as f64).ceil() as usize,
+        );
         let total = of(sweep.at(n, p), Implementation::Conflux).total_elements;
         let per_rank = total as f64 / g.active() as f64;
         let bound = lu_bound(n as f64, g.memory_per_rank(n) as f64).parallel(g.active());
@@ -326,7 +330,11 @@ fn ablations(_: &mut Sweep) -> String {
     }
     // an awkward P that is not q²c for any full grid
     let p = 60;
-    let optimized = choose_grid(p, n, fig6_memory_elems(n, p));
+    let optimized = choose_grid(
+        p,
+        n,
+        models::fig6_memory(n as f64, p as f64).ceil() as usize,
+    );
     run(
         "grid, P = 60",
         "optimized",

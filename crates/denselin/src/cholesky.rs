@@ -109,6 +109,7 @@ pub fn random_spd(rng: &mut crate::SplitMix64, n: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::test_blocking::{force_blocking, TEST_BLOCKINGS};
     use crate::SplitMix64;
 
     #[test]
@@ -134,8 +135,11 @@ mod tests {
         for (n, nb) in [(16, 4), (50, 8), (65, 16)] {
             let a = random_spd(&mut rng, n);
             let lu = cholesky_unblocked(&a).unwrap();
-            let lb = cholesky_blocked(&a, nb).unwrap();
-            assert!(lb.allclose(&lu, 1e-8), "n={n} nb={nb}");
+            for blk in TEST_BLOCKINGS {
+                let _blk = force_blocking(blk);
+                let lb = cholesky_blocked(&a, nb).unwrap();
+                assert!(lb.allclose(&lu, 1e-8), "n={n} nb={nb} {blk:?}");
+            }
         }
     }
 

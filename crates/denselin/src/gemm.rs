@@ -4,9 +4,9 @@
 //! workspace. It follows the classic BLIS/GotoBLAS decomposition:
 //!
 //! * the operands are cut into `(mc, kc, nc)` cache blocks
-//!   ([`GemmBlocking`]: the `DENSELIN_GEMM_BLOCK=mc,kc,nc` environment
-//!   override, else persisted per-host tuning via [`crate::tune`], else
-//!   [`GemmBlocking::default`]),
+//!   ([`GemmBlocking`]; every configured product runs the one fixed
+//!   [`GemmBlocking::default`], so a given kernel gives the same bits on
+//!   every host),
 //! * `A` blocks are packed into column-major `mr`-row micro-panels and `B`
 //!   blocks into row-major `nr`-column micro-panels of the selected
 //!   microkernel's geometry, so the innermost loop streams both operands
@@ -21,8 +21,7 @@
 //!   prefetch of the packed `A` stream): the wider tile halves the
 //!   packed-`A` bandwidth per flop, which is the binding constraint once
 //!   the panel no longer fits L1. Dispatch consults [`selected_kernel`]
-//!   (forced variant > `DENSELIN_GEMM_KERNEL` env override > persisted
-//!   tuning record > fastest supported ISA default).
+//!   (a live [`force_kernel`] guard, else the fastest supported ISA).
 //!
 //! Fringe tiles smaller than `mr x nr` are handled by zero-padding the
 //! packed panels and a generic-size edge writeback. Tiles whose `B` is at
@@ -328,8 +327,8 @@ define_microkernel_shape!(body_8x8, portable_8x8_uk, avx2_8x8_uk, 8, 8);
 /// The registered microkernel family: every generated portable shape, the
 /// AVX2+FMA re-compilations (x86/x86-64), and the hand-unrolled AVX-512
 /// 8x16 kernel (x86-64). The table is the single source of truth the
-/// tuner's sweep, the dispatcher, the parity tests, and the verifier's
-/// forced-dispatch scenarios all iterate.
+/// dispatcher, the parity tests, and the verifier's forced-dispatch
+/// scenarios all iterate.
 pub fn microkernels() -> &'static [Microkernel] {
     static TABLE: OnceLock<Vec<Microkernel>> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -405,18 +404,18 @@ fn kernel_names() -> Vec<&'static str> {
     microkernels().iter().map(|k| k.name).collect()
 }
 
-/// The fastest-ISA default when neither an override nor a persisted tuning
-/// record selects a kernel. Public so the `tune` bench bin can measure the
-/// heuristic baseline the persisted winner must beat.
+/// The fastest variant the host supports: the AVX-512 `8x16` kernel, else
+/// AVX2 `8x4`, else portable `8x4`. What [`selected_kernel`] dispatches
+/// when no [`force_kernel`] guard is alive. Resolved once per process.
 pub fn default_isa_kernel() -> &'static Microkernel {
-    for name in ["avx512_8x16", "avx2_8x4", "portable_8x4"] {
-        if let Some(k) = Microkernel::by_name(name) {
-            if k.supported() {
-                return k;
-            }
-        }
-    }
-    &microkernels()[0]
+    static DEFAULT: OnceLock<&'static Microkernel> = OnceLock::new();
+    DEFAULT.get_or_init(|| {
+        ["avx512_8x16", "avx2_8x4", "portable_8x4"]
+            .into_iter()
+            .filter_map(Microkernel::by_name)
+            .find(|k| k.supported())
+            .unwrap_or(&microkernels()[0])
+    })
 }
 
 /// Index into [`microkernels`] of the process-wide forced variant, or
@@ -475,51 +474,39 @@ pub fn force_kernel(name: &str) -> Result<KernelForce, String> {
     Ok(KernelForce { _lock: lock })
 }
 
-/// The microkernel [`GemmConfig::auto`] dispatches right now: an active
-/// [`force_kernel`] guard wins, then the cached default — the
-/// `DENSELIN_GEMM_KERNEL` env override if valid, else the persisted
-/// per-host tuning record, else the fastest supported ISA default.
+/// Where the blocking or the kernel that [`GemmConfig::auto`] runs came
+/// from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TuneSource {
+    /// A live [`force_kernel`] guard (kernel selection only).
+    Forced,
+    /// The built-in choice: [`GemmBlocking::default`] or
+    /// [`default_isa_kernel`].
+    Heuristic,
+}
+
+impl TuneSource {
+    /// Stable lowercase token for logs and bench JSON.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            TuneSource::Forced => "forced",
+            TuneSource::Heuristic => "heuristic",
+        }
+    }
+}
+
+/// The microkernel [`GemmConfig::auto`] dispatches right now: the variant
+/// of a live [`force_kernel`] guard, else [`default_isa_kernel`].
 pub fn selected_kernel() -> &'static Microkernel {
     selected_kernel_with_source().0
 }
 
-/// [`selected_kernel`] plus where the decision came from (the reload gate
-/// of the `tune` bench bin asserts the persisted path is actually taken).
-pub fn selected_kernel_with_source() -> (&'static Microkernel, crate::tune::TuneSource) {
-    let forced = FORCED_KERNEL.load(Ordering::Acquire);
-    if forced != usize::MAX {
-        return (&microkernels()[forced], crate::tune::TuneSource::Forced);
+/// [`selected_kernel`] plus where the decision came from.
+pub fn selected_kernel_with_source() -> (&'static Microkernel, TuneSource) {
+    match FORCED_KERNEL.load(Ordering::Acquire) {
+        usize::MAX => (default_isa_kernel(), TuneSource::Heuristic),
+        forced => (&microkernels()[forced], TuneSource::Forced),
     }
-    static DEFAULT: OnceLock<(&'static Microkernel, crate::tune::TuneSource)> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        if let Ok(raw) = std::env::var("DENSELIN_GEMM_KERNEL") {
-            let name = raw.trim();
-            match Microkernel::by_name(name) {
-                Some(k) if k.supported() => return (k, crate::tune::TuneSource::EnvOverride),
-                Some(_) => eprintln!(
-                    "denselin: DENSELIN_GEMM_KERNEL=`{name}` is not supported on this host; \
-                     falling back"
-                ),
-                None => eprintln!(
-                    "denselin: unknown DENSELIN_GEMM_KERNEL `{name}` (registered: {}); \
-                     falling back",
-                    kernel_names().join(", ")
-                ),
-            }
-        }
-        if let Some(rec) = crate::tune::persisted() {
-            if let Some(k) = Microkernel::by_name(&rec.kernel) {
-                if k.supported() {
-                    return (k, crate::tune::TuneSource::Persisted);
-                }
-            }
-            eprintln!(
-                "denselin: persisted tuning names kernel `{}` unavailable here; using ISA default",
-                rec.kernel
-            );
-        }
-        (default_isa_kernel(), crate::tune::TuneSource::Heuristic)
-    })
 }
 
 /// Cache-blocking parameters of the packed GEMM.
@@ -546,56 +533,63 @@ impl Default for GemmBlocking {
 }
 
 impl GemmBlocking {
-    /// The process-wide blocking: the `DENSELIN_GEMM_BLOCK=mc,kc,nc`
-    /// environment override if valid, otherwise the persisted per-host
-    /// tuning record when one exists ([`crate::tune`]), otherwise
-    /// [`GemmBlocking::default`]. Cached for the process lifetime — the env
-    /// override is validated *before* the cache fills, so a malformed
-    /// value is reported (once, to stderr) instead of silently latching
-    /// the fallback.
-    pub fn tuned() -> Self {
-        Self::tuned_with_source().0
+    /// The blocking [`GemmConfig::auto`] runs and where it came from:
+    /// always [`GemmBlocking::default`], so the reduction order, and with
+    /// it every factor's bits, is the same on every host.
+    pub fn tuned_with_source() -> (Self, TuneSource) {
+        (Self::default(), TuneSource::Heuristic)
+    }
+}
+
+/// Test-only: a per-thread blocking for [`GemmConfig::auto`]. The parity
+/// tests use it to reach `nb > kc` through `lu_blocked`, `lu_parallel` and
+/// the TRSM sweeps, which take no configuration. It is per thread, and
+/// pool jobs inherit their submitter's, so it cannot change the bits of a
+/// test running beside it.
+#[cfg(test)]
+pub(crate) mod test_blocking {
+    use super::GemmBlocking;
+    use std::cell::Cell;
+
+    thread_local! {
+        static FORCED: Cell<Option<GemmBlocking>> = const { Cell::new(None) };
     }
 
-    /// [`Self::tuned`] plus where the decision came from, so the `tune`
-    /// bench bin's reload gate can assert the persisted file is consulted
-    /// instead of re-sweeping.
-    pub fn tuned_with_source() -> (Self, crate::tune::TuneSource) {
-        static TUNED: OnceLock<(GemmBlocking, crate::tune::TuneSource)> = OnceLock::new();
-        *TUNED.get_or_init(|| {
-            match Self::from_env_checked() {
-                Ok(Some(blk)) => return (blk, crate::tune::TuneSource::EnvOverride),
-                Ok(None) => {}
-                Err(msg) => eprintln!(
-                    "denselin: ignoring invalid DENSELIN_GEMM_BLOCK ({msg}); falling back to \
-                     tuned/default blocking"
-                ),
-            }
-            if let Some(rec) = crate::tune::persisted() {
-                return (rec.blocking, crate::tune::TuneSource::Persisted);
-            }
-            (Self::default(), crate::tune::TuneSource::Heuristic)
-        })
+    /// The blockings the parity tests run under: the default, and a
+    /// shallow, misaligned one whose `kc = 3` splits every reduction into
+    /// many write-backs.
+    pub(crate) const TEST_BLOCKINGS: [Option<GemmBlocking>; 2] = [
+        None,
+        Some(GemmBlocking {
+            mc: 7,
+            kc: 3,
+            nc: 5,
+        }),
+    ];
+
+    /// RAII guard from [`force_blocking`]; dropping it restores the
+    /// thread's previous blocking.
+    pub(crate) struct BlockingForce {
+        prev: Option<GemmBlocking>,
     }
 
-    /// Parse the `DENSELIN_GEMM_BLOCK=mc,kc,nc` override: `Ok(None)` when
-    /// unset, `Err` with a description when set but not three positive
-    /// comma-separated integers, so callers can warn instead of silently
-    /// ignoring a user's override.
-    pub fn from_env_checked() -> Result<Option<Self>, String> {
-        let raw = match std::env::var("DENSELIN_GEMM_BLOCK") {
-            Ok(raw) => raw,
-            Err(_) => return Ok(None),
-        };
-        let mut it = raw.split(',').map(|s| s.trim().parse::<usize>());
-        match (it.next(), it.next(), it.next(), it.next()) {
-            (Some(Ok(mc)), Some(Ok(kc)), Some(Ok(nc)), None) if mc > 0 && kc > 0 && nc > 0 => {
-                Ok(Some(Self { mc, kc, nc }))
-            }
-            _ => Err(format!(
-                "expected three positive comma-separated integers `mc,kc,nc`, got `{raw}`"
-            )),
+    impl Drop for BlockingForce {
+        fn drop(&mut self) {
+            FORCED.with(|b| b.set(self.prev));
         }
+    }
+
+    /// Run [`super::GemmConfig::auto`] under `blk` (`None`: the default)
+    /// on this thread until the guard drops.
+    pub(crate) fn force_blocking(blk: Option<GemmBlocking>) -> BlockingForce {
+        BlockingForce {
+            prev: FORCED.with(|b| b.replace(blk)),
+        }
+    }
+
+    /// This thread's forced blocking, if any.
+    pub(crate) fn forced_blocking() -> Option<GemmBlocking> {
+        FORCED.with(|b| b.get())
     }
 }
 
@@ -613,12 +607,16 @@ pub struct GemmConfig {
 
 impl GemmConfig {
     /// What [`gemm_auto`] runs: [`auto_threads`] workers, the
-    /// [`GemmBlocking::tuned`] blocking and the [`selected_kernel`], all
+    /// [`GemmBlocking::default`] blocking and the [`selected_kernel`], all
     /// read at the time of the call.
     pub fn auto() -> Self {
+        #[cfg(test)]
+        let blocking = test_blocking::forced_blocking().unwrap_or_default();
+        #[cfg(not(test))]
+        let blocking = GemmBlocking::default();
         Self {
             threads: auto_threads(),
-            blocking: GemmBlocking::tuned(),
+            blocking,
             kernel: selected_kernel(),
         }
     }
@@ -1502,7 +1500,7 @@ mod tests {
                 1.0,
                 MatView::of(a),
                 MatView::of(b),
-                GemmBlocking::tuned(),
+                GemmBlocking::default(),
                 selected_kernel(),
                 threads,
             )
@@ -1755,7 +1753,7 @@ mod tests {
         // (possibly empty) band. The tile queue must (a) cover every tile
         // exactly once, (b) never spawn more workers than tiles.
         let mut rng = SplitMix64::new(45);
-        let blk = GemmBlocking::tuned();
+        let blk = GemmBlocking::default();
         // m chosen so the old band split (div_ceil) would leave an empty band.
         let m = 3 * blk.mc + 1;
         let n = 2 * blk.nc + 3;
@@ -1783,7 +1781,7 @@ mod tests {
     #[test]
     fn more_workers_than_tiles_is_clamped() {
         let mut rng = SplitMix64::new(46);
-        let blk = GemmBlocking::tuned();
+        let blk = GemmBlocking::default();
         let (m, n, k) = (blk.mc, blk.nc, 70);
         let a = Matrix::random(&mut rng, m, k);
         let b = Matrix::random(&mut rng, k, n);
@@ -1802,36 +1800,6 @@ mod tests {
         let mut c2 = c0.clone();
         gemm_auto(&mut c2, 1.0, &a, &b, 1.0);
         assert_eq!(c1.as_slice(), c2.as_slice());
-    }
-
-    #[test]
-    fn blocking_env_parse() {
-        // from_env_checked reads the live environment; exercise the parser
-        // via a guarded set/remove (tests in this binary run in-process).
-        std::env::set_var("DENSELIN_GEMM_BLOCK", "32, 64,128");
-        assert_eq!(
-            GemmBlocking::from_env_checked(),
-            Ok(Some(GemmBlocking {
-                mc: 32,
-                kc: 64,
-                nc: 128
-            }))
-        );
-        // Malformed values must be *reported* (Err), not silently dropped:
-        // tuned() warns on this instead of latching the fallback quietly.
-        std::env::set_var("DENSELIN_GEMM_BLOCK", "bogus");
-        assert!(GemmBlocking::from_env_checked()
-            .unwrap_err()
-            .contains("bogus"));
-        std::env::set_var("DENSELIN_GEMM_BLOCK", "1,2");
-        assert!(GemmBlocking::from_env_checked().is_err());
-        std::env::set_var("DENSELIN_GEMM_BLOCK", "0,2,3");
-        assert!(GemmBlocking::from_env_checked().is_err());
-        std::env::set_var("DENSELIN_GEMM_BLOCK", "1,2,3,4");
-        assert!(GemmBlocking::from_env_checked().is_err());
-        // Unset is Ok(None), not an error.
-        std::env::remove_var("DENSELIN_GEMM_BLOCK");
-        assert_eq!(GemmBlocking::from_env_checked(), Ok(None));
     }
 
     #[test]

@@ -17,9 +17,6 @@
 //! * [`panel`] — the register-blocked, bit-exact LU panel kernel behind
 //!   `lu_parallel` and the tournament,
 //! * [`pool`] — the persistent worker pool every parallel kernel shares,
-//! * [`tune`] — persistent per-host microkernel/blocking autotuning (the
-//!   macro-generated variant table lives in [`mod@gemm`]; the `tune`
-//!   bench bin sweeps it and persists the winner),
 //! * [`rng`] — [`SplitMix64`], the workspace's one seeded generator,
 //! * [`tournament`] — communication-avoiding tournament pivoting,
 //! * [`blockcyclic`] — ScaLAPACK-style block-cyclic index arithmetic.
@@ -54,7 +51,6 @@ pub mod refine;
 pub mod rng;
 pub mod tournament;
 pub mod trsm;
-pub mod tune;
 
 pub use blockcyclic::{BlockCyclic1D, BlockCyclic2D};
 pub use cholesky::{cholesky_blocked, cholesky_unblocked, NotPositiveDefinite};

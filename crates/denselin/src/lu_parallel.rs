@@ -65,9 +65,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::gemm::{
-    auto_threads, selected_kernel, update_region, GemmBlocking, MatView, Microkernel,
-};
+use crate::gemm::{auto_threads, update_region, GemmBlocking, GemmConfig, MatView, Microkernel};
 use crate::lu::{permutation_sign, LuFactorization, SingularMatrix};
 use crate::matrix::Matrix;
 use crate::panel::{factor_raw, PivotMode};
@@ -109,12 +107,15 @@ pub fn lu_parallel_with(
         return Ok(LuFactorization { lu, perm, sign });
     }
     let threads = threads.max(1);
-    let blk = GemmBlocking::tuned();
-    // Resolve the microkernel once per factorization so every trailing
+    // Resolve the configuration once per factorization so every trailing
     // update and every panel (and hence the whole bitwise-deterministic
     // result) uses one variant even if the process-wide selection is
     // forced mid-call.
-    let krn = selected_kernel();
+    let GemmConfig {
+        blocking: blk,
+        kernel: krn,
+        ..
+    } = GemmConfig::auto();
     let ld = n;
     let (mut abuf, mut bbuf) = (Vec::new(), Vec::new());
 
@@ -404,19 +405,22 @@ unsafe fn gather_chunk(ptr: *mut f64, ld: usize, row0: usize, p: &[usize], lo: u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::test_blocking::{force_blocking, TEST_BLOCKINGS};
     use crate::lu::lu_blocked;
     use crate::SplitMix64;
 
+    /// `lu_parallel_with` against `lu_blocked`, under the default blocking
+    /// and under a `kc` shallower than the panel width.
     fn assert_bitwise(a: &Matrix, nb: usize, threads: usize) {
-        let fs = lu_blocked(a, nb).unwrap();
-        let fp = lu_parallel_with(a, nb, threads).unwrap();
-        assert_eq!(fs.perm, fp.perm, "nb={nb} threads={threads}");
-        assert_eq!(fs.sign, fp.sign, "nb={nb} threads={threads}");
-        assert_eq!(
-            fs.lu.as_slice(),
-            fp.lu.as_slice(),
-            "nb={nb} threads={threads}"
-        );
+        for blk in TEST_BLOCKINGS {
+            let _blk = force_blocking(blk);
+            let fs = lu_blocked(a, nb).unwrap();
+            let fp = lu_parallel_with(a, nb, threads).unwrap();
+            let what = format!("nb={nb} threads={threads} {blk:?}");
+            assert_eq!(fs.perm, fp.perm, "{what}");
+            assert_eq!(fs.sign, fp.sign, "{what}");
+            assert_eq!(fs.lu.as_slice(), fp.lu.as_slice(), "{what}");
+        }
     }
 
     #[test]
@@ -482,10 +486,13 @@ mod tests {
         for zero_col in [0usize, 5, 37, 63] {
             let mut a = Matrix::identity(64);
             a[(zero_col, zero_col)] = 0.0;
-            let es = lu_blocked(&a, 16).unwrap_err();
-            for threads in [1, 4] {
-                let ep = lu_parallel_with(&a, 16, threads).unwrap_err();
-                assert_eq!(es, ep, "zero_col={zero_col} threads={threads}");
+            for blk in TEST_BLOCKINGS {
+                let _blk = force_blocking(blk);
+                let es = lu_blocked(&a, 16).unwrap_err();
+                for threads in [1, 4] {
+                    let ep = lu_parallel_with(&a, 16, threads).unwrap_err();
+                    assert_eq!(es, ep, "zero_col={zero_col} threads={threads} {blk:?}");
+                }
             }
         }
     }

@@ -55,6 +55,10 @@ struct Job {
     workers: usize,
     /// Submission counter, so a helper never re-runs a job it has seen.
     epoch: u64,
+    /// The submitter's test-only forced blocking, which the helpers run
+    /// the job under.
+    #[cfg(test)]
+    blocking: Option<crate::gemm::GemmBlocking>,
 }
 
 // SAFETY: the raw closure pointer is only dereferenced while the submitting
@@ -148,6 +152,8 @@ impl WorkerPool {
                 },
                 workers,
                 epoch: g.epoch,
+                #[cfg(test)]
+                blocking: crate::gemm::test_blocking::forced_blocking(),
             });
             self.work.notify_all();
         }
@@ -196,6 +202,8 @@ fn helper_loop(pool: &'static WorkerPool, id: usize, mut seen: u64) {
         let mut panicked = false;
         if id < job.workers {
             IN_JOB.with(|c| c.set(true));
+            #[cfg(test)]
+            let _blocking = crate::gemm::test_blocking::force_blocking(job.blocking);
             // SAFETY: the submitter blocks until we retire (below), so the
             // closure behind the raw pointer is still alive.
             let f = unsafe { &*job.f };

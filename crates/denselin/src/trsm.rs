@@ -388,6 +388,7 @@ unsafe fn lower_right_unblocked(b: Rhs, l: &Matrix, unit_diag: bool, lo: usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::test_blocking::{force_blocking, TEST_BLOCKINGS};
     use crate::SplitMix64;
 
     fn random_lower(rng: &mut SplitMix64, n: usize) -> Matrix {
@@ -494,7 +495,12 @@ mod tests {
     #[test]
     fn parallel_left_solves_bitwise_match_serial() {
         let mut rng = SplitMix64::new(26);
-        for (n, nrhs) in [(5, 3), (64, 17), (130, 40), (97, 1)] {
+        for ((n, nrhs), blk) in [(5, 3), (64, 17), (130, 40), (97, 1)]
+            .into_iter()
+            .flat_map(|shape| TEST_BLOCKINGS.map(|blk| (shape, blk)))
+        {
+            // the workers inherit the submitter's blocking
+            let _blk = force_blocking(blk);
             let l = random_lower(&mut rng, n);
             let u = random_upper(&mut rng, n);
             let b0 = Matrix::random(&mut rng, n, nrhs);
@@ -506,7 +512,7 @@ mod tests {
                 assert_eq!(
                     bs.as_slice(),
                     bp.as_slice(),
-                    "lower n={n} nrhs={nrhs} threads={threads}"
+                    "lower n={n} nrhs={nrhs} threads={threads} {blk:?}"
                 );
                 let mut us = b0.clone();
                 trsm_upper_left(&u, &mut us, true);
@@ -515,8 +521,68 @@ mod tests {
                 assert_eq!(
                     us.as_slice(),
                     up.as_slice(),
-                    "upper n={n} nrhs={nrhs} threads={threads}"
+                    "upper n={n} nrhs={nrhs} threads={threads} {blk:?}"
                 );
+            }
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn thin_solves_match_packed_solves_under_every_blocking() {
+        // A solve with at most 10 right-hand sides runs its trailing
+        // updates on the unpacked thin GEMM path, the same columns inside a
+        // 24-wide block on the packed path; under a kc shallower than
+        // BLOCK both write back once per kc block, so every column must
+        // come out bit for bit the same (the forced-variant sweep at the
+        // default blocking is in tests/properties.rs).
+        const WIDE: usize = 24;
+        const AT: usize = 5;
+        type Solve<'a> = (&'static str, &'a dyn Fn(&mut Matrix));
+        let mut rng = SplitMix64::new(0x7415);
+        for blk in TEST_BLOCKINGS {
+            let _blk = force_blocking(blk);
+            for n in [49, 97] {
+                let l = random_lower(&mut rng, n);
+                let u = random_upper(&mut rng, n);
+                let left: [Solve; 4] = [
+                    ("lower_left", &|b| trsm_lower_left(&l, b, false)),
+                    ("upper_left", &|b| trsm_upper_left(&u, b, true)),
+                    ("lower_left_parallel", &|b| {
+                        trsm_lower_left_parallel(&l, b, true, 2)
+                    }),
+                    ("upper_left_parallel", &|b| {
+                        trsm_upper_left_parallel(&u, b, false, 2)
+                    }),
+                ];
+                let right: [Solve; 2] = [
+                    ("upper_right", &|b| trsm_upper_right(b, &u, false)),
+                    ("lower_right", &|b| trsm_lower_right(b, &l, true)),
+                ];
+                for w in 0..=11 {
+                    let what = |name: &str| format!("{name} n={n} w={w} {blk:?}");
+                    let wide = Matrix::random(&mut rng, n, WIDE);
+                    for (name, solve) in &left {
+                        let mut thin = wide.block(0, AT, n, w);
+                        solve(&mut thin);
+                        let mut packed = wide.clone();
+                        solve(&mut packed);
+                        let want = packed.block(0, AT, n, w);
+                        assert_eq!(bits(&thin), bits(&want), "{}", what(name));
+                    }
+                    let wide = Matrix::random(&mut rng, WIDE, n);
+                    for (name, solve) in &right {
+                        let mut thin = wide.block(AT, 0, w, n);
+                        solve(&mut thin);
+                        let mut packed = wide.clone();
+                        solve(&mut packed);
+                        let want = packed.block(AT, 0, w, n);
+                        assert_eq!(bits(&thin), bits(&want), "{}", what(name));
+                    }
+                }
             }
         }
     }

@@ -116,7 +116,8 @@ fn variant_table_covers_expected_family() {
         assert!(names.contains(&required), "missing {required} in {names:?}");
     }
     // Geometry sanity for the packer: every (mr, nr) is positive and the
-    // name encodes it (the sweep and the tuning file rely on names).
+    // name encodes it (`force_kernel` and the verifier's scenarios select
+    // variants by name).
     for k in microkernels() {
         assert!(k.mr >= 1 && k.nr >= 1);
         assert!(k.name.ends_with(&format!("{}x{}", k.mr, k.nr)));
@@ -236,9 +237,9 @@ fn forcing_each_variant_routes_public_gemm_and_stays_bitwise() {
         let guard = force_kernel(krn.name).expect("supported variant must force");
         assert_eq!(selected_kernel().name, krn.name);
         // The public dispatch paths under the force must equal the
-        // explicit-kernel path bit for bit (same tuned blocking).
+        // explicit-kernel path bit for bit (same fixed blocking).
         let mut c_exp = c0.clone();
-        let cfg = config(1, GemmBlocking::tuned(), krn);
+        let cfg = config(1, GemmBlocking::default(), krn);
         gemm_with(&mut c_exp, (0, 0), 1.5, &a, &b, -0.5, &cfg);
         let mut c_pub = c0.clone();
         gemm_with(&mut c_pub, (0, 0), 1.5, &a, &b, -0.5, &GemmConfig::serial());
@@ -272,48 +273,52 @@ fn forcing_each_variant_keeps_lu_parallel_bitwise_serial() {
 }
 
 #[test]
-fn forcing_each_variant_keeps_offset_update_bitwise_product_then_add() {
+fn every_variant_keeps_offset_update_bitwise_product_then_add() {
     // In-place accumulation into an offset region: every element gets one
     // `c + alpha*acc` writeback per kc block, which is the emulator run on
     // the region with beta = 1. With k <= kc that is one writeback, exactly
     // what a separate product (`0 + alpha*acc`) followed by an element-wise
     // add produces.
     let mut rng = SplitMix64::new(0x6E0D);
-    let kc = GemmBlocking::tuned().kc;
     for krn in microkernels() {
         if !krn.supported() {
             continue;
         }
-        let guard = force_kernel(krn.name).unwrap();
-        for (m, n, k) in shapes() {
-            for (r0, c0) in [(0, 0), (3, 5), (krn.mr + 1, krn.nr - 1)] {
-                for alpha in [1.0, -0.75] {
-                    let a = Matrix::random(&mut rng, m, k);
-                    let b = Matrix::random(&mut rng, k, n);
-                    let c = Matrix::random(&mut rng, r0 + m + 2, c0 + n + 3);
-                    let mut got = c.clone();
-                    let serial = GemmConfig::serial();
-                    gemm_with(&mut got, (r0, c0), alpha, &a, &b, 1.0, &serial);
-                    let what = format!(
-                        "kernel {} shape ({m},{n},{k}) at ({r0},{c0}) alpha {alpha}",
-                        krn.name
-                    );
-                    let mut region = c.block(r0, c0, m, n);
-                    gemm_emulated(&mut region, alpha, &a, &b, 1.0, kc, krn.fused);
-                    let mut want = c.clone();
-                    want.set_block(r0, c0, &region);
-                    assert_eq!(got.as_slice(), want.as_slice(), "{what} vs emulator");
-                    if k <= kc {
-                        let mut prod = Matrix::zeros(m, n);
-                        gemm_with(&mut prod, (0, 0), alpha, &a, &b, 0.0, &serial);
+        let shallow = GemmBlocking {
+            mc: 7,
+            kc: 3,
+            nc: 5,
+        };
+        for blk in [GemmBlocking::default(), shallow] {
+            let cfg = config(1, blk, krn);
+            for (m, n, k) in shapes() {
+                for (r0, c0) in [(0, 0), (3, 5), (krn.mr + 1, krn.nr - 1)] {
+                    for alpha in [1.0, -0.75] {
+                        let a = Matrix::random(&mut rng, m, k);
+                        let b = Matrix::random(&mut rng, k, n);
+                        let c = Matrix::random(&mut rng, r0 + m + 2, c0 + n + 3);
+                        let mut got = c.clone();
+                        gemm_with(&mut got, (r0, c0), alpha, &a, &b, 1.0, &cfg);
+                        let what = format!(
+                            "kernel {} {blk:?} shape ({m},{n},{k}) at ({r0},{c0}) alpha {alpha}",
+                            krn.name
+                        );
+                        let mut region = c.block(r0, c0, m, n);
+                        gemm_emulated(&mut region, alpha, &a, &b, 1.0, blk.kc, krn.fused);
                         let mut want = c.clone();
-                        want.add_block(r0, c0, &prod);
-                        assert_eq!(got.as_slice(), want.as_slice(), "{what}");
+                        want.set_block(r0, c0, &region);
+                        assert_eq!(got.as_slice(), want.as_slice(), "{what} vs emulator");
+                        if k <= blk.kc {
+                            let mut prod = Matrix::zeros(m, n);
+                            gemm_with(&mut prod, (0, 0), alpha, &a, &b, 0.0, &cfg);
+                            let mut want = c.clone();
+                            want.add_block(r0, c0, &prod);
+                            assert_eq!(got.as_slice(), want.as_slice(), "{what}");
+                        }
                     }
                 }
             }
         }
-        drop(guard);
     }
 }
 

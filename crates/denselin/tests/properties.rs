@@ -27,9 +27,36 @@ fn gemm(c: &mut Matrix, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, cfg: &Gem
 
 /// `a * b` through the serial packed GEMM.
 fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    matmul_with(a, b, GemmBlocking::default())
+}
+
+/// `a * b` through the serial packed GEMM under `blk`.
+fn matmul_with(a: &Matrix, b: &Matrix, blk: GemmBlocking) -> Matrix {
     let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm(&mut c, 1.0, a, b, 0.0, &GemmConfig::serial());
+    gemm(&mut c, 1.0, a, b, 0.0, &serial(blk));
     c
+}
+
+/// [`GemmConfig::serial`] under `blocking`.
+fn serial(blocking: GemmBlocking) -> GemmConfig {
+    GemmConfig {
+        blocking,
+        ..GemmConfig::serial()
+    }
+}
+
+/// The blockings every GEMM property runs under: the one every
+/// configured product uses, and a shallow, misaligned one whose `kc = 3`
+/// splits each reduction into many write-backs.
+fn blockings() -> [GemmBlocking; 2] {
+    [
+        GemmBlocking::default(),
+        GemmBlocking {
+            mc: 7,
+            kc: 3,
+            nc: 5,
+        },
+    ]
 }
 
 /// Smallest reduction length that takes an `m x n` product to the 128³
@@ -66,11 +93,13 @@ fn gemm_is_linear_in_alpha() {
         |&(seed, n)| {
             let a = rand_matrix(seed, n, n);
             let b = rand_matrix(seed ^ 1, n, n);
-            let mut c1 = Matrix::zeros(n, n);
-            gemm(&mut c1, 2.0, &a, &b, 0.0, &GemmConfig::serial());
-            let mut c2 = Matrix::zeros(n, n);
-            gemm(&mut c2, 1.0, &a, &b, 0.0, &GemmConfig::serial());
-            assert!(c1.allclose(&c2.scale(2.0), 1e-10));
+            for blk in blockings() {
+                let mut c1 = Matrix::zeros(n, n);
+                gemm(&mut c1, 2.0, &a, &b, 0.0, &serial(blk));
+                let mut c2 = Matrix::zeros(n, n);
+                gemm(&mut c2, 1.0, &a, &b, 0.0, &serial(blk));
+                assert!(c1.allclose(&c2.scale(2.0), 1e-10));
+            }
         },
     );
 }
@@ -93,9 +122,11 @@ fn gemm_distributes_over_addition() {
             let a = rand_matrix(seed, m, k);
             let b1 = rand_matrix(seed ^ 2, k, n);
             let b2 = rand_matrix(seed ^ 3, k, n);
-            let lhs = matmul(&a, &b1.add(&b2));
-            let rhs = matmul(&a, &b1).add(&matmul(&a, &b2));
-            assert!(lhs.allclose(&rhs, 1e-9));
+            for blk in blockings() {
+                let lhs = matmul_with(&a, &b1.add(&b2), blk);
+                let rhs = matmul_with(&a, &b1, blk).add(&matmul_with(&a, &b2, blk));
+                assert!(lhs.allclose(&rhs, 1e-9));
+            }
         },
     );
 }
@@ -111,9 +142,11 @@ fn gemm_associates_with_transpose() {
             // (A * B)^T == B^T * A^T
             let a = rand_matrix(seed, m, n);
             let b = rand_matrix(seed ^ 4, n, m);
-            let lhs = matmul(&a, &b).transpose();
-            let rhs = matmul(&b.transpose(), &a.transpose());
-            assert!(lhs.allclose(&rhs, 1e-10));
+            for blk in blockings() {
+                let lhs = matmul_with(&a, &b, blk).transpose();
+                let rhs = matmul_with(&b.transpose(), &a.transpose(), blk);
+                assert!(lhs.allclose(&rhs, 1e-10));
+            }
         },
     );
 }
@@ -141,11 +174,13 @@ fn packed_gemm_matches_reference() {
             let a = rand_matrix(seed, m, k);
             let b = rand_matrix(seed ^ 5, k, n);
             let c0 = rand_matrix(seed ^ 6, m, n);
-            let mut packed = c0.clone();
-            gemm(&mut packed, alpha, &a, &b, beta, &GemmConfig::serial());
             let mut reference = c0.clone();
             gemm_reference(&mut reference, alpha, &a, &b, beta);
-            assert!(packed.allclose(&reference, 1e-10));
+            for blk in blockings() {
+                let mut packed = c0.clone();
+                gemm(&mut packed, alpha, &a, &b, beta, &serial(blk));
+                assert!(packed.allclose(&reference, 1e-10));
+            }
         },
     );
 }
@@ -171,13 +206,16 @@ fn awkward_blockings_agree() {
             let a = rand_matrix(seed, n, n);
             let b = rand_matrix(seed ^ 7, n, n);
             let mut def = Matrix::zeros(n, n);
-            gemm(&mut def, 1.0, &a, &b, 0.0, &GemmConfig::serial());
+            gemm(&mut def, 1.0, &a, &b, 0.0, &serial(GemmBlocking::default()));
             let mut odd = Matrix::zeros(n, n);
-            let cfg = GemmConfig {
-                blocking: GemmBlocking { mc, kc, nc },
-                ..GemmConfig::serial()
-            };
-            gemm(&mut odd, 1.0, &a, &b, 0.0, &cfg);
+            gemm(
+                &mut odd,
+                1.0,
+                &a,
+                &b,
+                0.0,
+                &serial(GemmBlocking { mc, kc, nc }),
+            );
             assert!(odd.allclose(&def, 1e-11));
         },
     );
@@ -203,15 +241,23 @@ fn parallel_tile_queue_is_bitwise_serial() {
             let k = fan_out_k(m, n);
             let a = rand_matrix(seed, m, k);
             let b = rand_matrix(seed ^ 8, k, n);
-            let mut serial = Matrix::zeros(m, n);
-            gemm(&mut serial, 1.0, &a, &b, 0.0, &GemmConfig::serial());
-            let mut parallel = Matrix::zeros(m, n);
-            let cfg = GemmConfig {
-                threads,
-                ..GemmConfig::serial()
-            };
-            gemm(&mut parallel, 1.0, &a, &b, 0.0, &cfg);
-            assert_eq!(serial.as_slice(), parallel.as_slice());
+            for blk in blockings() {
+                // one configuration for both runs: a test forcing another
+                // kernel in between must not split them
+                let cfg = serial(blk);
+                let mut one = Matrix::zeros(m, n);
+                gemm(&mut one, 1.0, &a, &b, 0.0, &cfg);
+                let mut parallel = Matrix::zeros(m, n);
+                gemm(
+                    &mut parallel,
+                    1.0,
+                    &a,
+                    &b,
+                    0.0,
+                    &GemmConfig { threads, ..cfg },
+                );
+                assert_eq!(one.as_slice(), parallel.as_slice(), "{blk:?}");
+            }
         },
     );
 }
@@ -319,10 +365,12 @@ fn beta_zero_ignores_prior_contents() {
             // beta == 0 must overwrite, never read, C — NaN poison proves it
             let a = rand_matrix(seed, n, n);
             let b = rand_matrix(seed ^ 9, n, n);
-            let mut c = Matrix::from_fn(n, n, |_, _| f64::NAN);
-            gemm(&mut c, 1.0, &a, &b, 0.0, &GemmConfig::serial());
-            assert!(c.as_slice().iter().all(|x| x.is_finite()));
-            assert!(c.allclose(&matmul(&a, &b), 1e-12));
+            for blk in blockings() {
+                let mut c = Matrix::from_fn(n, n, |_, _| f64::NAN);
+                gemm(&mut c, 1.0, &a, &b, 0.0, &serial(blk));
+                assert!(c.as_slice().iter().all(|x| x.is_finite()));
+                assert!(c.allclose(&matmul_with(&a, &b, blk), 1e-12));
+            }
         },
     );
 }
@@ -411,24 +459,28 @@ fn lu_parallel_is_bitwise_blocked() {
         |&(_, m, n, _, threads)| m + n + threads,
         |&(seed, m, n, nb, threads)| {
             // the lookahead pipeline reorders work, never arithmetic: over
-            // awkward rectangular shapes, panel widths, and thread counts
+            // awkward rectangular shapes, panel widths, and thread counts,
+            // under every instruction set the panel kernel is built for,
             // the factors must be bitwise identical to the serial blocked
             // path, and singularity refusals must name the same column
             let a = rand_matrix(seed, m, n);
-            let serial = lu_blocked(&a, nb);
-            let parallel = lu_parallel_with(&a, nb, threads);
-            match (serial, parallel) {
-                (Ok(s), Ok(p)) => {
-                    assert_eq!(s.perm, p.perm);
-                    assert_eq!(s.sign, p.sign);
-                    assert_eq!(s.lu.as_slice(), p.lu.as_slice());
+            for isa in panel_isas() {
+                let _force = force_kernel(isa).unwrap();
+                let serial = lu_blocked(&a, nb);
+                let parallel = lu_parallel_with(&a, nb, threads);
+                match (serial, parallel) {
+                    (Ok(s), Ok(p)) => {
+                        assert_eq!(s.perm, p.perm, "{isa}");
+                        assert_eq!(s.sign, p.sign, "{isa}");
+                        assert_eq!(s.lu.as_slice(), p.lu.as_slice(), "{isa}");
+                    }
+                    (Err(se), Err(pe)) => assert_eq!(se.column, pe.column, "{isa}"),
+                    (s, p) => panic!(
+                        "{isa}: outcomes differ: serial ok={} parallel ok={}",
+                        s.is_ok(),
+                        p.is_ok()
+                    ),
                 }
-                (Err(se), Err(pe)) => assert_eq!(se.column, pe.column),
-                (s, p) => panic!(
-                    "outcomes differ: serial ok={} parallel ok={}",
-                    s.is_ok(),
-                    p.is_ok()
-                ),
             }
         },
     );
@@ -455,10 +507,13 @@ fn lu_parallel_wilkinson_bitwise() {
                     0.0
                 }
             });
-            let s = lu_blocked(&a, nb).unwrap();
-            let p = lu_parallel_with(&a, nb, threads).unwrap();
-            assert_eq!(s.perm, p.perm);
-            assert_eq!(s.lu.as_slice(), p.lu.as_slice());
+            for isa in panel_isas() {
+                let _force = force_kernel(isa).unwrap();
+                let s = lu_blocked(&a, nb).unwrap();
+                let p = lu_parallel_with(&a, nb, threads).unwrap();
+                assert_eq!(s.perm, p.perm, "{isa}");
+                assert_eq!(s.lu.as_slice(), p.lu.as_slice(), "{isa}");
+            }
         },
     );
 }

@@ -664,72 +664,6 @@ impl RankCtx {
         self.broadcast(group, root, reduced, tag.wrapping_add(0x9e37), phase)
     }
 
-    /// Fallible combiner allreduce; see [`RankCtx::allreduce_with`].
-    pub fn try_allreduce_with<F>(
-        &mut self,
-        group: &[Rank],
-        value: Vec<f64>,
-        tag: u64,
-        phase: &'static str,
-        mut combine: F,
-    ) -> SimnetResult<Vec<f64>>
-    where
-        F: FnMut(Vec<f64>, Vec<f64>) -> Vec<f64>,
-    {
-        let p = group.len();
-        let me = self.try_group_pos(group, "allreduce")?;
-        if p <= 1 {
-            return Ok(value);
-        }
-        // binomial reduce onto position 0 (same tree as reduce_sum)
-        let mut acc = Some(value);
-        let mut spans = Vec::new();
-        let mut s = 1usize;
-        while s < p {
-            spans.push(s);
-            s *= 2;
-        }
-        for &s in spans.iter().rev() {
-            if me < s {
-                let src_pos = me + s;
-                if src_pos < p {
-                    let other = self.try_recv_from(group[src_pos], tag ^ hash_round(s as u64))?;
-                    // lower position (mine) goes first
-                    acc = Some(combine(acc.take().unwrap(), other));
-                }
-            } else if me >= s && me < s * 2 {
-                let dst = group[me - s];
-                self.try_send(dst, tag ^ hash_round(s as u64), acc.take().unwrap(), phase)?;
-                break; // this rank's reduction role is done
-            }
-        }
-        // broadcast the result back from position 0
-        self.try_broadcast(group, group[0], acc, tag.wrapping_add(0x5bd1), phase)
-    }
-
-    /// Allreduce with an arbitrary associative combiner: binomial-tree
-    /// reduce onto `group[0]` (lower group position always the left
-    /// argument, so non-commutative combiners stay deterministic), then
-    /// broadcast the result back. Correct for **any** group size — use
-    /// this, not [`RankCtx::butterfly`], when the group may not be a power
-    /// of two.
-    pub fn allreduce_with<F>(
-        &mut self,
-        group: &[Rank],
-        value: Vec<f64>,
-        tag: u64,
-        phase: &'static str,
-        combine: F,
-    ) -> Vec<f64>
-    where
-        F: FnMut(Vec<f64>, Vec<f64>) -> Vec<f64>,
-    {
-        match self.try_allreduce_with(group, value, tag, phase, combine) {
-            Ok(v) => v,
-            Err(e) => raise(e),
-        }
-    }
-
     /// Fallible butterfly; see [`RankCtx::butterfly`].
     pub fn try_butterfly<F>(
         &mut self,
@@ -775,8 +709,9 @@ impl RankCtx {
     ///
     /// **Convergence caveat**: all members end with the same combined value
     /// only when `|group|` is a power of two (ranks whose partner falls
-    /// outside the group skip that round). For arbitrary group sizes use
-    /// [`RankCtx::allreduce_with`].
+    /// outside the group skip that round). For arbitrary group sizes,
+    /// reduce onto one rank and broadcast back, as
+    /// [`RankCtx::allreduce_sum`] does.
     pub fn butterfly<F>(
         &mut self,
         group: &[Rank],
@@ -1192,45 +1127,6 @@ mod tests {
             assert!(vals.iter().all(|v| v[0] == (p - 1) as f64), "p={p}");
             let rounds = (usize::BITS - (p - 1).leading_zeros()) as u64;
             assert_eq!(stats.total_sent(), p as u64 * rounds, "p={p}");
-        }
-    }
-
-    #[test]
-    fn allreduce_with_converges_for_any_group_size() {
-        // regression: a butterfly is NOT a valid allreduce off powers of
-        // two (rank 1 of a 3-group never sees rank 2's value, which
-        // deadlocked the first threaded LU); allreduce_with must converge
-        // for every size.
-        for p in [2usize, 3, 5, 6, 7, 8] {
-            let group: Vec<usize> = (0..p).collect();
-            let (vals, _) = run_spmd(p, |ctx| {
-                // max of (value, origin) pairs; max lives on the LAST rank
-                ctx.allreduce_with(
-                    &group,
-                    vec![ctx.rank as f64, ctx.rank as f64],
-                    55,
-                    "armax",
-                    |x, y| if x[0] >= y[0] { x } else { y },
-                )
-            });
-            for (r, v) in vals.iter().enumerate() {
-                assert_eq!(v[1] as usize, p - 1, "p={p} rank {r} missed the max");
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_with_noncommutative_combiner_is_deterministic() {
-        // combine = concat-order-sensitive checksum; all ranks must agree
-        let p = 6;
-        let group: Vec<usize> = (0..p).collect();
-        let (vals, _) = run_spmd(p, |ctx| {
-            ctx.allreduce_with(&group, vec![(ctx.rank + 1) as f64], 56, "nc", |x, y| {
-                vec![x[0] * 10.0 + y[0]]
-            })
-        });
-        for v in &vals {
-            assert_eq!(v, &vals[0]);
         }
     }
 

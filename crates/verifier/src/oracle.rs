@@ -333,7 +333,7 @@ fn run_lu(sc: &Scenario) -> Vec<CheckOutcome> {
                     // parity oracle directly: the public dispatch path must
                     // reproduce the scalar emulator bit for bit on a probe
                     // derived from the scenario's own matrix data.
-                    let blk = denselin::GemmBlocking::tuned();
+                    let blk = denselin::GemmBlocking::default();
                     let pm = n.min(24);
                     let pa = a.block(0, 0, pm, pm);
                     let mut probe = Matrix::zeros(pm, pm);

@@ -5,13 +5,10 @@
 //! term; lower-order terms push the measured constant a little higher).
 
 use conflux_repro::baselines::lu2d::{factorize_2d, Lu2dConfig, Variant};
+use conflux_repro::baselines::models;
 use conflux_repro::baselines::{factorize_candmc, CandmcConfig};
 use conflux_repro::conflux::{choose_grid, factorize, ConfluxConfig, Mode};
 use conflux_repro::iobound::lu_bound;
-
-fn fig6_memory(n: usize, p: usize) -> usize {
-    ((n * n) as f64 / (p as f64).powf(2.0 / 3.0)).ceil() as usize
-}
 
 fn configs() -> Vec<(usize, usize, usize)> {
     // (n, p, v)
@@ -26,7 +23,7 @@ fn configs() -> Vec<(usize, usize, usize)> {
 #[test]
 fn all_implementations_dominate_the_lower_bound() {
     for (n, p, v) in configs() {
-        let m = fig6_memory(n, p);
+        let m = models::fig6_memory(n as f64, p as f64).ceil() as usize;
         let grid = choose_grid(p, n, m);
         // the bound is per rank; use each run's actual memory regime
         let m_used = grid.memory_per_rank(n) as f64;
@@ -65,7 +62,7 @@ fn conflux_is_near_optimal() {
     // the headline: COnfLUX's leading term is 3/2 of the lower bound's;
     // with lower-order terms the measured ratio stays a small constant
     for (n, p, v) in configs() {
-        let m = fig6_memory(n, p);
+        let m = models::fig6_memory(n as f64, p as f64).ceil() as usize;
         let grid = choose_grid(p, n, m);
         let m_used = grid.memory_per_rank(n) as f64;
         let bound_per_rank = lu_bound(n as f64, m_used).parallel(grid.active());
@@ -83,7 +80,7 @@ fn conflux_is_near_optimal() {
 fn conflux_beats_2d_baselines_at_scale() {
     // the paper's Fig. 6a claim, at simulator scale
     let (n, p, v) = (4096, 256, 16);
-    let m = fig6_memory(n, p);
+    let m = models::fig6_memory(n as f64, p as f64).ceil() as usize;
     let grid = choose_grid(p, n, m);
     let conflux_total = factorize(&ConfluxConfig::phantom(n, v, grid), None)
         .stats

@@ -4,9 +4,8 @@
 //! the kernel for the whole process, and the other test binaries run under
 //! the host's default kernel.
 //!
-//! Both pins assume the default GEMM blocking (`kc` = 256, deeper than
-//! every `v` here); a `DENSELIN_GEMM_BLOCK` override with a shallower `kc`
-//! changes the accumulation order and hence the bits.
+//! Both pins run under the one fixed GEMM blocking (`kc` = 256, deeper
+//! than every `v` here), so they hold on every host.
 #![cfg(target_arch = "x86_64")]
 
 use conflux_repro::conflux::{factorize_threaded, ConfluxConfig, LuGrid, PivotChoice};
