@@ -2,14 +2,17 @@
 //!
 //! Measures the packed register-blocked GEMM against the scalar reference
 //! path, the tile-queue parallel GEMM, blocked TRSM, the LU panel kernel
-//! against the rank-1 loop of `lu_unblocked`, blocked LU, and the
-//! lookahead-pipelined parallel LU (plus a thread sweep of the parallel
-//! kernels), then writes `BENCH_kernels.json` at the repo root. This file
-//! is the perf trajectory future PRs are held against (CI uploads it as an
-//! artifact, `--check` turns a packed-slower-than-reference regression into
-//! a red build, and `--check-scaling` additionally gates the parallel
-//! speedups — skipped automatically on single-core machines, where there is
-//! no parallelism to measure).
+//! against the rank-1 loop of `lu_unblocked`, the few-right-hand-side
+//! solve and batch residual against a vectorized read of the same bytes
+//! (and the solve against a copy of the AXPY substitution it replaced),
+//! blocked LU, and the lookahead-pipelined parallel LU (plus a thread
+//! sweep of the parallel kernels), then writes `BENCH_kernels.json` at the
+//! repo root. This file is the perf trajectory future PRs are held against
+//! (CI uploads it as an artifact; `--check` turns a packed-slower-than-
+//! reference GEMM, a costly noop tracer, or a one-column solve at n = 384
+//! no faster than the AXPY copy into a red build; `--check-scaling`
+//! additionally gates the parallel speedups — skipped automatically on
+//! single-core machines, where there is no parallelism to measure).
 //!
 //! The thread count the parallel entries use comes from
 //! [`auto_threads`] (override with `DENSELIN_THREADS`).
@@ -22,7 +25,7 @@ use std::time::Instant;
 
 use denselin::gemm::{auto_threads, gemm_reference, gemm_with, GemmBlocking, GemmConfig};
 use denselin::lu::lu_blocked;
-use denselin::lu::lu_unblocked;
+use denselin::lu::{lu_unblocked, LuFactorization};
 use denselin::lu_parallel::lu_parallel_with;
 use denselin::matrix::Matrix;
 use denselin::panel::{factor_in_place, PivotMode};
@@ -167,6 +170,70 @@ fn main() {
         panels.push((m, k, r));
     }
 
+    // ---- few-RHS solve and batch residual against a read of the same
+    // ---- bytes (the ceiling) and against the AXPY-substitution copy,
+    // ---- single thread, medians and quartiles of alternating runs ----
+    let solve_reps = if quick { 51 } else { 301 };
+    let mut few_rhs = Vec::new();
+    for n in [384usize, 768] {
+        let a = Matrix::random_diagonally_dominant(&mut rng, n);
+        let f = lu_parallel_with(&a, 64, 1).unwrap();
+        let axpy = AxpySolve::new(&f);
+        for w in [1usize, 2, 4, 8] {
+            let b = Matrix::random(&mut rng, n, w);
+            let mut x = Matrix::zeros(n, w);
+            let mut r = Matrix::zeros(n, w);
+            // the copy must be the same arithmetic, or it gates nothing
+            axpy.solve_into(&b, &mut r);
+            f.solve_into(&b, &mut x);
+            assert_eq!(r, x, "AXPY copy and solve_into differ at n={n} w={w}");
+            let mut t = [(); 4].map(|_| Vec::with_capacity(solve_reps));
+            for rep in 0..WARMUP + solve_reps {
+                let us = [
+                    time_us(|| f.solve_into(&b, &mut x)),
+                    time_us(|| {
+                        r.as_mut_slice().copy_from_slice(b.as_slice());
+                        gemm_with(&mut r, (0, 0), -1.0, &a, &x, 1.0, &serial);
+                    }),
+                    time_us(|| {
+                        std::hint::black_box(read_all(f.lu.as_slice()));
+                    }),
+                    time_us(|| axpy.solve_into(&b, &mut x)),
+                ];
+                if rep >= WARMUP {
+                    for (samples, us) in t.iter_mut().zip(us) {
+                        samples.push(us);
+                    }
+                }
+            }
+            let [solve, residual, read, axpy] = t.map(|mut v| quartiles(&mut v));
+            println!(
+                "{:>16}  n={n:<5} w={w:<2}  solve {:.1} us ({:.1} GB/s)  residual {:.1} us ({:.1} GB/s)  \
+                 read {:.1} us ({:.1} GB/s)  axpy solve {:.1} us",
+                "few_rhs_solve",
+                solve[1],
+                gbs(n, solve[1]),
+                residual[1],
+                gbs(n, residual[1]),
+                read[1],
+                gbs(n, read[1]),
+                axpy[1]
+            );
+            few_rhs.push(FewRhs {
+                n,
+                w,
+                solve,
+                residual,
+                read,
+                axpy,
+            });
+        }
+    }
+    let solve_vs_axpy = few_rhs
+        .iter()
+        .find(|e| e.n == 384 && e.w == 1)
+        .map(|e| e.axpy[1] / e.solve[1]);
+
     // ---- Blocked LU (panel + TRSM + packed trailing update) and the
     // ---- lookahead-pipelined parallel LU over the same inputs ----
     let lu_sizes: &[usize] = if quick { &[512] } else { &[512, 1024] };
@@ -266,6 +333,30 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
+    json.push_str("  \"few_rhs_solve\": [\n");
+    for (i, e) in few_rhs.iter().enumerate() {
+        let comma = if i + 1 < few_rhs.len() { "," } else { "" };
+        let q = |t: &[f64; 3]| format!("{:.1}, \"us_q1_q3\": [{:.1}, {:.1}]", t[1], t[0], t[2]);
+        let _ = writeln!(
+            json,
+            "    {{ \"n\": {}, \"w\": {}, \"threads\": 1, \"reps\": {solve_reps}, \
+             \"solve\": {{ \"us_p50\": {}, \"gbs\": {:.1} }}, \
+             \"residual\": {{ \"us_p50\": {}, \"gbs\": {:.1} }}, \
+             \"read_ceiling\": {{ \"us_p50\": {}, \"gbs\": {:.1} }}, \
+             \"axpy_solve\": {{ \"us_p50\": {} }}, \"solve_vs_axpy_p50\": {:.2} }}{comma}",
+            e.n,
+            e.w,
+            q(&e.solve),
+            gbs(e.n, e.solve[1]),
+            q(&e.residual),
+            gbs(e.n, e.residual[1]),
+            q(&e.read),
+            gbs(e.n, e.read[1]),
+            q(&e.axpy),
+            e.axpy[1] / e.solve[1]
+        );
+    }
+    json.push_str("  ],\n");
     json.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
@@ -309,6 +400,21 @@ fn main() {
             }
             None => {
                 eprintln!("# check FAILED: missing noop-tracer measurements");
+                std::process::exit(1);
+            }
+        }
+        match solve_vs_axpy {
+            Some(s) if s > 1.0 => {
+                println!("# check OK: one-column solve is {s:.2}x the AXPY substitution at n=384");
+            }
+            Some(s) => {
+                eprintln!(
+                    "# check FAILED: one-column solve only {s:.2}x the AXPY substitution at n=384"
+                );
+                std::process::exit(1);
+            }
+            None => {
+                eprintln!("# check FAILED: missing n=384 one-column solve measurements");
                 std::process::exit(1);
             }
         }
@@ -362,6 +468,160 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+/// Untimed runs before the samples of an alternating measurement.
+const WARMUP: usize = 20;
+
+/// One `few_rhs_solve` row: quartiles (µs) of the solve, the batch
+/// residual, the ceiling read and the AXPY copy.
+struct FewRhs {
+    n: usize,
+    w: usize,
+    solve: [f64; 3],
+    residual: [f64; 3],
+    read: [f64; 3],
+    axpy: [f64; 3],
+}
+
+/// GB/s of a kernel that reads an `n x n` operand once in `us` µs (the
+/// solve its factor, the residual `A`, the ceiling the factor's bytes).
+fn gbs(n: usize, us: f64) -> f64 {
+    (8 * n * n) as f64 / (us * 1e3)
+}
+
+/// Wall time of one call of `f`, in µs.
+fn time_us(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e6
+}
+
+/// The sum of `xs` over 16 independent accumulators: a read of the bytes
+/// at the rate the core can load them, the ceiling of a kernel that
+/// reads each once. Compiled for AVX2 where the host has it.
+fn read_all(xs: &[f64]) -> f64 {
+    #[inline(always)]
+    fn sum16(xs: &[f64]) -> f64 {
+        let mut acc = [0.0f64; 16];
+        let chunks = xs.chunks_exact(16);
+        let tail: f64 = chunks.remainder().iter().sum();
+        for c in chunks {
+            for (a, v) in acc.iter_mut().zip(c) {
+                *a += v;
+            }
+        }
+        acc.iter().sum::<f64>() + tail
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        /// # Safety
+        /// The host must have AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn sum16_avx2(xs: &[f64]) -> f64 {
+            sum16(xs)
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host has AVX2.
+            return unsafe { sum16_avx2(xs) };
+        }
+    }
+    sum16(xs)
+}
+
+/// `LU x = b` as `denselin` solved it before its register-blocked
+/// substitution: the same 48-row blocked sweeps, with each diagonal block
+/// substituted by the AXPY loop (one slice pair per factor entry) and the
+/// trailing updates run through the GEMM on panels cut from the factor up
+/// front, so it reads the same bytes. The `--check` baseline.
+struct AxpySolve<'a> {
+    f: &'a LuFactorization,
+    /// `(lo, hi, L[hi.., lo..hi])` per forward block.
+    lower: Vec<(usize, usize, Matrix)>,
+    /// `(lo, hi, U[..lo, lo..hi])` per back block, bottom first.
+    upper: Vec<(usize, usize, Matrix)>,
+}
+
+impl<'a> AxpySolve<'a> {
+    const BLOCK: usize = 48;
+
+    fn new(f: &'a LuFactorization) -> Self {
+        let n = f.lu.rows();
+        let blocks: Vec<usize> = (0..n).step_by(Self::BLOCK).collect();
+        let lower = blocks
+            .iter()
+            .map(|&lo| {
+                let hi = (lo + Self::BLOCK).min(n);
+                (lo, hi, f.lu.block(hi, lo, n - hi, hi - lo))
+            })
+            .collect();
+        let upper = blocks
+            .iter()
+            .rev()
+            .map(|&lo| {
+                let hi = (lo + Self::BLOCK).min(n);
+                (lo, hi, f.lu.block(0, lo, lo, hi - lo))
+            })
+            .collect();
+        AxpySolve { f, lower, upper }
+    }
+
+    fn solve_into(&self, b: &Matrix, out: &mut Matrix) {
+        let (lu, w) = (&self.f.lu, b.cols());
+        for (i, &src) in self.f.perm.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(b.row(src));
+        }
+        let cfg = GemmConfig::auto();
+        for (lo, hi, l21) in &self.lower {
+            for i in *lo..*hi {
+                for (k, &lik) in lu.row(i).iter().enumerate().take(i).skip(*lo) {
+                    if lik != 0.0 {
+                        let (xi, xk) = row_pair(out, i, k);
+                        for (x, y) in xi.iter_mut().zip(xk) {
+                            *x -= lik * y;
+                        }
+                    }
+                }
+            }
+            if l21.rows() > 0 {
+                let xb = out.block(*lo, 0, hi - lo, w);
+                gemm_with(out, (*hi, 0), -1.0, l21, &xb, 1.0, &cfg);
+            }
+        }
+        for (lo, hi, u01) in &self.upper {
+            for i in (*lo..*hi).rev() {
+                for (k, &uik) in lu.row(i).iter().enumerate().take(*hi).skip(i + 1) {
+                    if uik != 0.0 {
+                        let (xi, xk) = row_pair(out, i, k);
+                        for (x, y) in xi.iter_mut().zip(xk) {
+                            *x -= uik * y;
+                        }
+                    }
+                }
+                let d = lu[(i, i)];
+                for x in out.row_mut(i) {
+                    *x /= d;
+                }
+            }
+            if u01.rows() > 0 {
+                let xb = out.block(*lo, 0, hi - lo, w);
+                gemm_with(out, (0, 0), -1.0, u01, &xb, 1.0, &cfg);
+            }
+        }
+    }
+}
+
+/// Rows `i` and `k` (`i != k`) of `m`, the first mutably.
+fn row_pair(m: &mut Matrix, i: usize, k: usize) -> (&mut [f64], &[f64]) {
+    let w = m.cols();
+    let data = m.as_mut_slice();
+    if i < k {
+        let (head, tail) = data.split_at_mut(k * w);
+        (&mut head[i * w..(i + 1) * w], &tail[..w])
+    } else {
+        let (head, tail) = data.split_at_mut(i * w);
+        (&mut tail[..w], &head[k * w..(k + 1) * w])
     }
 }
 

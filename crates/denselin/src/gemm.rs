@@ -28,8 +28,9 @@
 //! most `THIN_WIDTH` (10) columns wide (a solve or residual with a few
 //! right-hand sides) skip packing altogether: a thin body, monomorphized
 //! per width, reads rows of `A` in place and rows of `B` by stride, holding
-//! 4 rows x `w` columns of accumulators — a packed `nr`-wide panel would be
-//! mostly zero padding, and packing would read `A` twice.
+//! a group of 2 to 8 rows (`thin_rows`, by width) x `w` columns of
+//! accumulators — a packed `nr`-wide panel would be mostly zero padding,
+//! and packing would read `A` twice.
 //!
 //! Every variant shares one arithmetic contract — per-element accumulation
 //! order depends only on the `kc` split and the variant's fused/unfused
@@ -1039,11 +1040,27 @@ pub(crate) unsafe fn parallel_region(
 /// `n x w` sweep over `w = 1..=16` at n = 384 and 768 against the packed
 /// path (one core of an AVX-512 host, packed with `avx512_8x16` and with
 /// `avx2_8x4`): the thin body was faster in every run up to w = 10 (by
-/// 1.3–5x) and lost some runs at 11, 13, 15 and 16.
+/// 1.3–5x) and lost some runs at 11, 13, 15 and 16. That sweep ran
+/// 4-row groups; [`thin_rows`] has the heights each width runs now.
 pub(crate) const THIN_WIDTH: usize = 10;
 
-/// Rows of `C` per thin-body register group.
-const THIN_ROWS: usize = 4;
+/// Rows of `C` per thin-body register group at width `w`: `thin_rows(w)`
+/// rows x `w` columns of accumulators, then single rows for the
+/// remainder. A one-column product (a GEMV: the residual of one
+/// right-hand side) has one FMA chain per row, so four rows left it
+/// latency-bound. Chosen from an `n x n` times `n x w` sweep over
+/// `w = 1..=10` and heights 2, 4, 6, 8, 12 and 16 at n = 384 and 768 (one
+/// core of an AVX-512 host, AVX2+FMA body, medians of 200 calls): 8 rows
+/// were fastest at `w` = 1, 2 and 4 (1.5x over 4 rows at `w = 1`), 2 rows
+/// at 7, 9 and 10 (where 4 rows ran 1.4–1.6x slower), and 6 rows, by 3–9%
+/// over 4 at n = 768, at every other width.
+const fn thin_rows(w: usize) -> usize {
+    match w {
+        1 | 2 | 4 => 8,
+        7 | 9 | 10 => 2,
+        _ => 6,
+    }
+}
 
 /// The unpacked path of [`packed_tile_update`] for a tile of `1..=`
 /// [`THIN_WIDTH`] columns: rows of `A` are read in place, rows of `B` by
@@ -1120,27 +1137,27 @@ unsafe fn thin_tile<const FUSE: bool>(
     kc: usize,
 ) {
     match b.cols {
-        1 => thin_width::<1, FUSE>(c, ldc, alpha, a, b, kc),
-        2 => thin_width::<2, FUSE>(c, ldc, alpha, a, b, kc),
-        3 => thin_width::<3, FUSE>(c, ldc, alpha, a, b, kc),
-        4 => thin_width::<4, FUSE>(c, ldc, alpha, a, b, kc),
-        5 => thin_width::<5, FUSE>(c, ldc, alpha, a, b, kc),
-        6 => thin_width::<6, FUSE>(c, ldc, alpha, a, b, kc),
-        7 => thin_width::<7, FUSE>(c, ldc, alpha, a, b, kc),
-        8 => thin_width::<8, FUSE>(c, ldc, alpha, a, b, kc),
-        9 => thin_width::<9, FUSE>(c, ldc, alpha, a, b, kc),
-        10 => thin_width::<10, FUSE>(c, ldc, alpha, a, b, kc),
+        1 => thin_width::<1, { thin_rows(1) }, FUSE>(c, ldc, alpha, a, b, kc),
+        2 => thin_width::<2, { thin_rows(2) }, FUSE>(c, ldc, alpha, a, b, kc),
+        3 => thin_width::<3, { thin_rows(3) }, FUSE>(c, ldc, alpha, a, b, kc),
+        4 => thin_width::<4, { thin_rows(4) }, FUSE>(c, ldc, alpha, a, b, kc),
+        5 => thin_width::<5, { thin_rows(5) }, FUSE>(c, ldc, alpha, a, b, kc),
+        6 => thin_width::<6, { thin_rows(6) }, FUSE>(c, ldc, alpha, a, b, kc),
+        7 => thin_width::<7, { thin_rows(7) }, FUSE>(c, ldc, alpha, a, b, kc),
+        8 => thin_width::<8, { thin_rows(8) }, FUSE>(c, ldc, alpha, a, b, kc),
+        9 => thin_width::<9, { thin_rows(9) }, FUSE>(c, ldc, alpha, a, b, kc),
+        10 => thin_width::<10, { thin_rows(10) }, FUSE>(c, ldc, alpha, a, b, kc),
         w => unreachable!("thin tile of width {w} (limit {THIN_WIDTH})"),
     }
 }
 
 /// The thin body at width `W`: ascending `kc` blocks, each swept over
-/// [`THIN_ROWS`]-row groups of `A` (then single rows for the remainder).
+/// `R`-row groups of `A` (then single rows for the remainder).
 ///
 /// # Safety
 /// As [`thin_tile`], with `b.cols() == W`.
 #[inline(always)]
-unsafe fn thin_width<const W: usize, const FUSE: bool>(
+unsafe fn thin_width<const W: usize, const R: usize, const FUSE: bool>(
     c: *mut f64,
     ldc: usize,
     alpha: f64,
@@ -1155,10 +1172,10 @@ unsafe fn thin_width<const W: usize, const FUSE: bool>(
         let kcb = kc.min(k - pc);
         let bp = b.ptr.add(pc * b.ld);
         let mut i = 0;
-        while i + THIN_ROWS <= m {
+        while i + R <= m {
             let ap = a.ptr.add(i * a.ld + pc);
-            thin_group::<THIN_ROWS, W, FUSE>(c.add(i * ldc), ldc, alpha, ap, a.ld, bp, b.ld, kcb);
-            i += THIN_ROWS;
+            thin_group::<R, W, FUSE>(c.add(i * ldc), ldc, alpha, ap, a.ld, bp, b.ld, kcb);
+            i += R;
         }
         while i < m {
             let ap = a.ptr.add(i * a.ld + pc);

@@ -19,6 +19,17 @@
 //! [`gemm_auto`](crate::gemm::gemm_auto)'s volume rule; a few right-hand
 //! sides take the GEMM's unpacked thin path, which reads the factor once.
 //!
+//! The left solves' diagonal blocks run one substitution body for every
+//! width of `B`: the columns are cut into 8-wide chunks plus a remainder
+//! of 1 to 7, each solved by a body monomorphized for its width that
+//! holds a row of `X` in a `[f64; W]` register block while it walks the
+//! contiguous factor row. Per element it does what a textbook row-by-row
+//! substitution does — an unfused `x -= t·y` for each nonzero factor entry
+//! in ascending order, then the division by the diagonal — so the width a
+//! column is solved at never changes its bits, and a one-column solve
+//! (the service's cache hit) streams the factor with no per-element slice
+//! bookkeeping.
+//!
 //! The left-solve variants additionally come in `_parallel` forms
 //! ([`trsm_lower_left_parallel`], [`trsm_upper_left_parallel`]) that slice
 //! the right-hand-side columns across the shared [`crate::pool`]. A
@@ -215,7 +226,7 @@ unsafe fn lower_left(l: &Matrix, b: Rhs, unit_diag: bool) {
     let mut k = 0;
     while k < n {
         let kb = BLOCK.min(n - k);
-        lower_left_unblocked(l, b, unit_diag, k, k + kb);
+        substitute::<true>(l, b, unit_diag, k, k + kb);
         let rest = n - k - kb;
         if rest > 0 {
             let l21 = MatView::of(l).sub(k + kb, k, rest, kb);
@@ -236,7 +247,7 @@ unsafe fn upper_left(u: &Matrix, b: Rhs, unit_diag: bool) {
     let mut k = b.rows;
     while k > 0 {
         let kb = BLOCK.min(k);
-        upper_left_unblocked(u, b, unit_diag, k - kb, k);
+        substitute::<false>(u, b, unit_diag, k - kb, k);
         if k > kb {
             let u01 = MatView::of(u).sub(0, k - kb, k - kb, kb);
             b.update(0, 0, u01, b.view(k - kb, 0, kb, b.cols));
@@ -288,47 +299,78 @@ unsafe fn lower_right(b: Rhs, l: &Matrix, unit_diag: bool) {
     }
 }
 
-/// Forward substitution on rows `lo..hi`, assuming rows `< lo` are solved.
-/// All inner loops run over contiguous row slices (AXPY form).
-unsafe fn lower_left_unblocked(l: &Matrix, b: Rhs, unit_diag: bool, lo: usize, hi: usize) {
-    for i in lo..hi {
-        let lrow = l.row(i);
-        let bi = b.row(i);
-        for (k, &lik) in lrow.iter().enumerate().take(i).skip(lo) {
-            if lik != 0.0 {
-                for (x, y) in bi.iter_mut().zip(b.row(k).iter()) {
-                    *x -= lik * y;
-                }
-            }
-        }
-        if !unit_diag {
-            let d = lrow[i];
-            assert!(d != 0.0, "singular triangular factor");
-            for x in bi {
-                *x /= d;
-            }
-        }
+/// Columns of `B` per register block of [`substitute`]; a narrower
+/// remainder has its own body, so every width `0..` is served.
+const SUB_WIDTH: usize = 8;
+
+/// Substitution on the diagonal block `lo..hi` of `t`, assuming the rows
+/// of `b` outside it that the block reads are solved: forward (rows
+/// ascending, reading rows `lo..i`) when `LOWER`, else back (rows
+/// descending, reading rows `i+1..hi`). `b`'s columns are cut into
+/// [`SUB_WIDTH`]-wide chunks and a remainder, each run by the body
+/// monomorphized for its width.
+///
+/// # Safety
+/// As [`lower_left`], with `lo <= hi <= b.rows`.
+unsafe fn substitute<const LOWER: bool>(t: &Matrix, b: Rhs, unit_diag: bool, lo: usize, hi: usize) {
+    let mut c = 0;
+    while c + SUB_WIDTH <= b.cols {
+        substitute_width::<SUB_WIDTH, LOWER>(t, b.columns(c, c + SUB_WIDTH), unit_diag, lo, hi);
+        c += SUB_WIDTH;
+    }
+    let rest = b.columns(c, b.cols);
+    match rest.cols {
+        0 => {}
+        1 => substitute_width::<1, LOWER>(t, rest, unit_diag, lo, hi),
+        2 => substitute_width::<2, LOWER>(t, rest, unit_diag, lo, hi),
+        3 => substitute_width::<3, LOWER>(t, rest, unit_diag, lo, hi),
+        4 => substitute_width::<4, LOWER>(t, rest, unit_diag, lo, hi),
+        5 => substitute_width::<5, LOWER>(t, rest, unit_diag, lo, hi),
+        6 => substitute_width::<6, LOWER>(t, rest, unit_diag, lo, hi),
+        7 => substitute_width::<7, LOWER>(t, rest, unit_diag, lo, hi),
+        w => unreachable!("substitution remainder of width {w}"),
     }
 }
 
-unsafe fn upper_left_unblocked(u: &Matrix, b: Rhs, unit_diag: bool, lo: usize, hi: usize) {
-    for ii in (lo..hi).rev() {
-        let urow = u.row(ii);
-        let bi = b.row(ii);
-        for (k, &uik) in urow.iter().enumerate().take(hi).skip(ii + 1) {
-            if uik != 0.0 {
-                for (x, y) in bi.iter_mut().zip(b.row(k).iter()) {
-                    *x -= uik * y;
+/// [`substitute`] on exactly `W` columns: each row of `X` is held in a
+/// `[f64; W]` register block while the contiguous factor row is walked,
+/// with per element an unfused `x -= t_ik * x_k` for every nonzero `t_ik`
+/// in ascending `k`, then one division by the diagonal unless
+/// `unit_diag` — the order of a textbook row-by-row substitution.
+///
+/// # Safety
+/// As [`substitute`], with `b.cols == W`.
+#[inline(always)]
+unsafe fn substitute_width<const W: usize, const LOWER: bool>(
+    t: &Matrix,
+    b: Rhs,
+    unit_diag: bool,
+    lo: usize,
+    hi: usize,
+) {
+    debug_assert_eq!(b.cols, W);
+    let row = |i: usize| b.ptr.add(i * b.ld) as *mut [f64; W];
+    for step in 0..hi - lo {
+        let i = if LOWER { lo + step } else { hi - 1 - step };
+        let solved = if LOWER { lo..i } else { i + 1..hi };
+        let trow = t.row(i);
+        let mut x = *row(i);
+        for (k, &tik) in solved.clone().zip(&trow[solved]) {
+            if tik != 0.0 {
+                let xk = &*row(k);
+                for (xv, &yv) in x.iter_mut().zip(xk) {
+                    *xv -= tik * yv;
                 }
             }
         }
         if !unit_diag {
-            let d = urow[ii];
+            let d = trow[i];
             assert!(d != 0.0, "singular triangular factor");
-            for x in bi {
-                *x /= d;
+            for xv in &mut x {
+                *xv /= d;
             }
         }
+        *row(i) = x;
     }
 }
 
@@ -536,9 +578,12 @@ mod tests {
         // A solve with at most 10 right-hand sides runs its trailing
         // updates on the unpacked thin GEMM path, the same columns inside a
         // 24-wide block on the packed path; under a kc shallower than
-        // BLOCK both write back once per kc block, so every column must
-        // come out bit for bit the same (the forced-variant sweep at the
-        // default blocking is in tests/properties.rs).
+        // BLOCK both write back once per kc block, and the substitution's
+        // 8-column chunks fall on other columns at each width up to 17, so
+        // every column must come out bit for bit the same (the
+        // forced-variant sweeps at the default blocking, against the
+        // packed path and against the AXPY loops, are in
+        // tests/properties.rs).
         const WIDE: usize = 24;
         const AT: usize = 5;
         type Solve<'a> = (&'static str, &'a dyn Fn(&mut Matrix));
@@ -562,7 +607,7 @@ mod tests {
                     ("upper_right", &|b| trsm_upper_right(b, &u, false)),
                     ("lower_right", &|b| trsm_lower_right(b, &l, true)),
                 ];
-                for w in 0..=11 {
+                for w in 0..=17 {
                     let what = |name: &str| format!("{name} n={n} w={w} {blk:?}");
                     let wide = Matrix::random(&mut rng, n, WIDE);
                     for (name, solve) in &left {

@@ -29,11 +29,13 @@ fn config(threads: usize, blocking: GemmBlocking, kernel: &'static Microkernel) 
 /// Shape triples `(m, n, k)` stressing every fringe case of every
 /// registered (mr, nr): below-tile, exact-tile, one-past-tile for
 /// mr ∈ {4,6,8} and nr ∈ {4,8,16}, plus empty and reduction-heavy corners.
-/// The thin (unpacked, `n <= 10`) path gets row counts off its 4-row
-/// group, `k` over several `kc` blocks, its widest width, and `n = 11`, one
-/// past its width limit.
+/// The thin (unpacked, `n <= 10`) path gets `k` over several `kc` blocks,
+/// its widest width, `n = 11`, one past its width limit, and every
+/// `m = 1..=17` at every width: each remainder of its 2-, 6- and 8-row
+/// groups, and two full 8-row groups.
 fn shapes() -> Vec<(usize, usize, usize)> {
-    vec![
+    let thin = (1..=17).flat_map(|m| (1..=10).map(move |n| (m, n, 11)));
+    let mut shapes = vec![
         (37, 1, 70),
         (37, 2, 70),
         (38, 3, 9),
@@ -61,7 +63,9 @@ fn shapes() -> Vec<(usize, usize, usize)> {
         (0, 4, 4),
         (4, 0, 4),
         (4, 4, 0),
-    ]
+    ];
+    shapes.extend(thin);
+    shapes
 }
 
 /// Blockings stressing the kc split the emulator must reproduce: kc=1

@@ -828,6 +828,164 @@ fn thin_trsm_solves_match_packed_solves_bitwise() {
     }
 }
 
+/// Rows `i` and `k` (`i != k`) of `b`, the first mutably.
+fn row_and_row(b: &mut Matrix, i: usize, k: usize) -> (&mut [f64], &[f64]) {
+    let w = b.cols();
+    let data = b.as_mut_slice();
+    if i < k {
+        let (head, tail) = data.split_at_mut(k * w);
+        (&mut head[i * w..(i + 1) * w], &tail[..w])
+    } else {
+        let (head, tail) = data.split_at_mut(i * w);
+        (&mut tail[..w], &head[k * w..(k + 1) * w])
+    }
+}
+
+/// Forward substitution on rows `lo..hi`, assuming rows `< lo` are solved:
+/// the AXPY loop the blocked TRSM ran on its diagonal blocks before the
+/// register-blocked substitution body, kept as that body's oracle.
+fn lower_left_axpy(l: &Matrix, b: &mut Matrix, unit_diag: bool, lo: usize, hi: usize) {
+    for i in lo..hi {
+        let lrow = l.row(i);
+        for (k, &lik) in lrow.iter().enumerate().take(i).skip(lo) {
+            if lik != 0.0 {
+                let (bi, bk) = row_and_row(b, i, k);
+                for (x, y) in bi.iter_mut().zip(bk) {
+                    *x -= lik * y;
+                }
+            }
+        }
+        if !unit_diag {
+            let d = lrow[i];
+            for x in b.row_mut(i) {
+                *x /= d;
+            }
+        }
+    }
+}
+
+/// Back substitution on rows `lo..hi`, assuming rows `>= hi` are solved;
+/// the upper twin of [`lower_left_axpy`].
+fn upper_left_axpy(u: &Matrix, b: &mut Matrix, unit_diag: bool, lo: usize, hi: usize) {
+    for ii in (lo..hi).rev() {
+        let urow = u.row(ii);
+        for (k, &uik) in urow.iter().enumerate().take(hi).skip(ii + 1) {
+            if uik != 0.0 {
+                let (bi, bk) = row_and_row(b, ii, k);
+                for (x, y) in bi.iter_mut().zip(bk) {
+                    *x -= uik * y;
+                }
+            }
+        }
+        if !unit_diag {
+            let d = urow[ii];
+            for x in b.row_mut(ii) {
+                *x /= d;
+            }
+        }
+    }
+}
+
+/// The blocked left solve `T X = B` as `denselin::trsm` sweeps it — 48-row
+/// diagonal blocks, each eliminated from the unsolved rows with one
+/// `B -= T_blk * X_blk` update — with the blocks substituted by the AXPY
+/// loops and the updates by the GEMM oracle at the default `kc` and the
+/// kernel's reduction class.
+fn blocked_left_axpy(t: &Matrix, b: &mut Matrix, lower: bool, unit_diag: bool, fused: bool) {
+    const BLOCK: usize = 48;
+    let (n, w) = b.shape();
+    let kc = GemmBlocking::default().kc;
+    let mut done = 0;
+    while done < n && w > 0 {
+        let kb = BLOCK.min(n - done);
+        // the block's rows and the unsolved rows it feeds
+        let (lo, rest) = if lower {
+            (done, done + kb..n)
+        } else {
+            (n - done - kb, 0..n - done - kb)
+        };
+        if lower {
+            lower_left_axpy(t, b, unit_diag, lo, lo + kb);
+        } else {
+            upper_left_axpy(t, b, unit_diag, lo, lo + kb);
+        }
+        if !rest.is_empty() {
+            let tb = t.block(rest.start, lo, rest.len(), kb);
+            let mut trail = b.block(rest.start, 0, rest.len(), w);
+            gemm_emulated(
+                &mut trail,
+                -1.0,
+                &tb,
+                &b.block(lo, 0, kb, w),
+                1.0,
+                kc,
+                fused,
+            );
+            b.set_block(rest.start, 0, &trail);
+        }
+        done += kb;
+    }
+}
+
+#[test]
+fn substitution_is_bitwise_the_axpy_loops() {
+    // The register-blocked substitution keeps the AXPY loops' per-element
+    // order (ascending k, the `!= 0` skip, unfused `x -= t * y`, then the
+    // division), so every left solve must reproduce them bit for bit:
+    // at every width across two 8-column chunk edges, on both sides of the
+    // 48-row block, on the column chunks of the parallel split (row stride
+    // wider than the chunk), with signed-zero factor entries and
+    // non-finite right-hand sides, under each instruction set.
+    let mut rng = SplitMix64::new(0x5b57);
+    let specials = [-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    for isa in panel_isas() {
+        let _force = force_kernel(isa).unwrap();
+        let fused = denselin::gemm::selected_kernel().fused;
+        for n in [47, 48, 49, 97] {
+            let scale = 1.0 / n as f64;
+            let l = Matrix::from_fn(n, n, |i, j| match i.cmp(&j) {
+                std::cmp::Ordering::Greater => match rng.below(8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.symmetric() * scale,
+                },
+                std::cmp::Ordering::Equal => 1.5 + rng.unit(),
+                std::cmp::Ordering::Less => 0.0,
+            });
+            let u = l.transpose();
+            for w in 0..=17 {
+                let b0 = Matrix::from_fn(n, w, |_, _| {
+                    if rng.below(16) == 0 {
+                        *rng.choose(&specials)
+                    } else {
+                        rng.symmetric()
+                    }
+                });
+                for unit in [true, false] {
+                    for (name, t, lower) in [("lower", &l, true), ("upper", &u, false)] {
+                        let mut want = b0.clone();
+                        blocked_left_axpy(t, &mut want, lower, unit, fused);
+                        for threads in [1, 2, 3] {
+                            let mut got = b0.clone();
+                            match (lower, threads) {
+                                (true, 1) => trsm_lower_left(t, &mut got, unit),
+                                (false, 1) => trsm_upper_left(t, &mut got, unit),
+                                (true, _) => trsm_lower_left_parallel(t, &mut got, unit, threads),
+                                (false, _) => trsm_upper_left_parallel(t, &mut got, unit, threads),
+                            }
+                            assert_eq!(
+                                bits_nan_as_one(&got),
+                                bits_nan_as_one(&want),
+                                "{isa} {name} n={n} w={w} unit={unit} threads={threads}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn cholesky_reconstructs_spd() {
     check(

@@ -58,6 +58,23 @@ impl SolveRequest {
         self.deadline = Some(deadline);
         self
     }
+
+    /// The admission check both `submit`s run before touching any state:
+    /// a NaN or negative tolerance, or a non-finite RHS entry, is
+    /// [`SolveError::InvalidInput`]. A zero tolerance is legal (only an
+    /// exact answer meets it).
+    pub(crate) fn validate(&self) -> Result<(), SolveError> {
+        let what = if self.tolerance.is_nan() {
+            "NaN tolerance"
+        } else if self.tolerance < 0.0 {
+            "negative tolerance"
+        } else if !self.rhs.as_slice().iter().all(|v| v.is_finite()) {
+            "non-finite rhs entry"
+        } else {
+            return Ok(());
+        };
+        Err(SolveError::InvalidInput { what })
+    }
 }
 
 /// Per-request execution record, returned inside every [`SolveResponse`].
@@ -115,6 +132,13 @@ pub struct SolveResponse {
 /// Everything that can go wrong with a solve request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SolveError {
+    /// The request itself is malformed (a NaN or negative tolerance, a
+    /// non-finite RHS entry) and was refused at submission, before any
+    /// work. Definitive: resubmitting it fails identically.
+    InvalidInput {
+        /// What is wrong with it.
+        what: &'static str,
+    },
     /// Admission control rejected the request: the bounded submission
     /// queue is full. Callers should back off and retry (see
     /// [`crate::solve_with_retry`]).
@@ -200,6 +224,7 @@ impl SolveError {
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SolveError::InvalidInput { what } => write!(f, "invalid request: {what}"),
             SolveError::Overloaded { depth } => {
                 write!(f, "service overloaded: submission queue full ({depth} pending)")
             }
@@ -265,6 +290,12 @@ mod tests {
     #[test]
     fn errors_display() {
         let cases: Vec<(SolveError, &str)> = vec![
+            (
+                SolveError::InvalidInput {
+                    what: "NaN tolerance",
+                },
+                "invalid request: NaN tolerance",
+            ),
             (SolveError::Overloaded { depth: 9 }, "overloaded"),
             (SolveError::UnknownMatrix { matrix_id: 1 }, "not registered"),
             (
@@ -315,5 +346,6 @@ mod tests {
         assert!(!SolveError::Singular { column: 0 }.is_retryable());
         assert!(!SolveError::IndefiniteMatrix { iteration: 0 }.is_retryable());
         assert!(!SolveError::UnknownMatrix { matrix_id: 9 }.is_retryable());
+        assert!(!SolveError::InvalidInput { what: "x" }.is_retryable());
     }
 }

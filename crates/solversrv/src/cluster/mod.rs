@@ -280,8 +280,11 @@ impl ClusterHandle {
         self.shared.revive(shard)
     }
 
-    /// Submit a request. Fails fast — never blocks on a full cluster.
+    /// Submit a request. Fails fast — never blocks on a full cluster. A
+    /// NaN or negative tolerance or a non-finite RHS entry is refused with
+    /// [`SolveError::InvalidInput`] before any lock is taken.
     pub fn submit(&self, req: SolveRequest) -> Result<Ticket, SolveError> {
+        req.validate()?;
         let sh = &self.shared;
         if sh.shutdown.load(Ordering::SeqCst) {
             return Err(SolveError::ShuttingDown);

@@ -220,8 +220,11 @@ impl SolverHandle {
         Ok(fp)
     }
 
-    /// Submit a request. Fails fast — never blocks on a full queue.
+    /// Submit a request. Fails fast — never blocks on a full queue. A NaN
+    /// or negative tolerance or a non-finite RHS entry is refused with
+    /// [`SolveError::InvalidInput`] before the state lock is taken.
     pub fn submit(&self, req: SolveRequest) -> Result<Ticket, SolveError> {
+        req.validate()?;
         let slot = {
             let mut st = self.shared.state.lock().unwrap();
             if st.shutdown {

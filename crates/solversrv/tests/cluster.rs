@@ -12,7 +12,9 @@
 
 use denselin::{lu_blocked, Matrix};
 use simnet::FaultPlan;
-use solversrv::{serve_cluster, ClusterConfig, Fingerprint, HashRing, MatrixKind, SolveRequest};
+use solversrv::{
+    serve_cluster, ClusterConfig, Fingerprint, HashRing, MatrixKind, SolveError, SolveRequest,
+};
 
 fn dd_matrix(n: usize, seed: u64) -> Matrix {
     Matrix::from_fn(n, n, |i, j| {
@@ -41,6 +43,43 @@ fn direct_solve(a: &Matrix, b: &Matrix, panel: usize) -> Matrix {
     let mut x = Matrix::zeros(b.rows(), b.cols());
     f.solve_into(b, &mut x);
     x
+}
+
+#[test]
+fn invalid_requests_are_refused_before_routing() {
+    let n = 8;
+    let mut nan_rhs = Matrix::from_fn(n, 1, |i, _| i as f64);
+    nan_rhs[(3, 0)] = f64::NAN;
+    let ok_rhs = Matrix::from_fn(n, 1, |i, _| 1.0 + i as f64);
+    let cases = [
+        (SolveRequest::new(1, nan_rhs), "non-finite rhs entry"),
+        (
+            SolveRequest::new(1, ok_rhs.clone()).with_tolerance(f64::NAN),
+            "NaN tolerance",
+        ),
+        (
+            SolveRequest::new(1, ok_rhs.clone()).with_tolerance(-1.0),
+            "negative tolerance",
+        ),
+    ];
+    let (errs, report) = serve_cluster(base_cfg(3, 2), |h| {
+        h.register_matrix(1, dd_matrix(n, 4), MatrixKind::General);
+        let errs: Vec<_> = cases
+            .iter()
+            .map(|(req, _)| h.submit(req.clone()).map(|_| ()).unwrap_err())
+            .collect();
+        // a zero tolerance stays legal: the request is admitted
+        h.submit(SolveRequest::new(1, ok_rhs.clone()).with_tolerance(0.0))
+            .map(|t| drop(t.wait()))
+            .unwrap();
+        errs
+    });
+    for (err, (_, what)) in errs.iter().zip(&cases) {
+        assert_eq!(*err, SolveError::InvalidInput { what });
+        assert!(!err.is_retryable());
+    }
+    assert_eq!(report.stats.service.submitted, 1, "only the valid request");
+    assert!(report.stats.accounted(), "{:?}", report.stats);
 }
 
 #[test]

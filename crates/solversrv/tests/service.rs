@@ -121,6 +121,59 @@ fn typed_errors_for_bad_requests() {
     });
 }
 
+/// Submit `req` against a registered 8x8 matrix: the typed error it is
+/// refused with, and how many requests the service admitted.
+fn refused_at_submit(req: SolveRequest) -> (SolveError, u64) {
+    let (err, report) = serve(ServiceConfig::default(), |h| {
+        h.register_matrix(1, well_conditioned(8, 8), MatrixKind::General);
+        h.submit(req).map(|_| ()).unwrap_err()
+    });
+    assert!(!err.is_retryable(), "{err}");
+    (err, report.stats.submitted)
+}
+
+#[test]
+fn non_finite_rhs_is_refused_at_submit() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut b = Matrix::from_fn(8, 2, |i, j| (1 + i + j) as f64);
+        b[(5, 1)] = bad;
+        let (err, admitted) = refused_at_submit(SolveRequest::new(1, b));
+        assert_eq!(
+            err,
+            SolveError::InvalidInput {
+                what: "non-finite rhs entry"
+            }
+        );
+        assert_eq!(admitted, 0, "no solve may run on a {bad} entry");
+    }
+}
+
+#[test]
+fn nan_tolerance_is_refused_at_submit() {
+    let req = SolveRequest::new(1, Matrix::zeros(8, 1)).with_tolerance(f64::NAN);
+    let (err, admitted) = refused_at_submit(req);
+    assert_eq!(
+        err,
+        SolveError::InvalidInput {
+            what: "NaN tolerance"
+        }
+    );
+    assert_eq!(admitted, 0);
+}
+
+#[test]
+fn negative_tolerance_is_refused_at_submit() {
+    let req = SolveRequest::new(1, Matrix::zeros(8, 1)).with_tolerance(-1e-12);
+    let (err, admitted) = refused_at_submit(req);
+    assert_eq!(
+        err,
+        SolveError::InvalidInput {
+            what: "negative tolerance"
+        }
+    );
+    assert_eq!(admitted, 0);
+}
+
 #[test]
 fn singular_matrix_fails_with_column() {
     let n = 8;

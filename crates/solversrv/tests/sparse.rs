@@ -126,8 +126,7 @@ fn unrelaxed_miss_is_tolerance_not_met() {
 
 #[test]
 fn nan_rhs_fails_typed_instead_of_ok() {
-    // one NaN entry makes the true residual NaN; acceptance must count it
-    // as a miss, never serve `Ok` with a NaN `x` and residual 0
+    // one NaN entry is refused at submission, before any CG iteration
     let a = spd_laplacian(12, 11, 0.3);
     let mut b = rhs(a.rows(), 1, 7);
     b[(5, 0)] = f64::NAN;
@@ -136,6 +135,30 @@ fn nan_rhs_fails_typed_instead_of_ok() {
             .unwrap();
         h.solve(SolveRequest::new(1, b.clone())).unwrap_err()
     });
+    assert_eq!(
+        err,
+        SolveError::InvalidInput {
+            what: "non-finite rhs entry"
+        }
+    );
+    assert_eq!(report.stats.submitted, 0);
+}
+
+#[test]
+fn nan_matrix_entry_fails_typed_instead_of_ok() {
+    // a NaN in the operator makes the true residual NaN; acceptance must
+    // count it as a miss, never serve `Ok` with a NaN `x` and residual 0
+    let mut dense = spd_laplacian(12, 11, 0.3).to_dense();
+    dense[(5, 6)] = f64::NAN;
+    dense[(6, 5)] = f64::NAN;
+    let a = CsrMatrix::from_dense(&dense);
+    let b = rhs(a.rows(), 1, 7);
+    let (res, report) = serve(ServiceConfig::default(), |h| {
+        h.register_sparse(1, a.clone(), Preconditioner::Jacobi)
+            .unwrap();
+        h.solve(SolveRequest::new(1, b.clone()))
+    });
+    let err = res.expect_err("a NaN operator must not produce Ok");
     assert!(matches!(err, SolveError::ToleranceNotMet { .. }), "{err}");
     assert_eq!(report.stats.failed, 1);
 }

@@ -21,7 +21,9 @@
 //!   residuals small, and the (unique) lower factors close.
 //! * **Solve** — `solversrv`: a cache-hit solve is bitwise identical to the
 //!   cache-miss solve and to driving the same blocked factorization
-//!   directly; a batched multi-RHS solve matches per-column solves.
+//!   directly; a batched multi-RHS solve matches per-column solves; a NaN
+//!   RHS entry or a NaN or negative tolerance is declined with the typed
+//!   `InvalidInput`, never served.
 //! * **Sparse** — `sparselin`: parallel SpMV is bitwise identical to the
 //!   serial kernel at every thread count; CG on the seeded SPD pattern
 //!   matches densifying the same matrix and solving by blocked LU; the
@@ -42,7 +44,9 @@ use denselin::{
     cholesky_blocked, lu_blocked, lu_parallel_with, LuFactorization, Matrix, SplitMix64,
 };
 use simnet::{CommStats, FaultPlan, Supervisor, Trace};
-use solversrv::{serve, serve_cluster, ClusterConfig, MatrixKind, ServiceConfig, SolveRequest};
+use solversrv::{
+    serve, serve_cluster, ClusterConfig, MatrixKind, ServiceConfig, SolveError, SolveRequest,
+};
 
 use sparselin::{
     banded, cg, random_density, spd_laplacian, spmv, spmv_parallel, CgConfig, CsrMatrix,
@@ -812,13 +816,38 @@ fn run_solve(sc: &Scenario) -> Vec<CheckOutcome> {
     let b = matgen::rhs(n, k, sc.mseed);
     let mut out = Vec::new();
 
-    // cache-hit bitwise identity + direct-drive identity
-    let ((miss, hit), _) = serve(ServiceConfig::default(), |h| {
+    // cache-hit bitwise identity + direct-drive identity, and the
+    // adversarial requests the service must decline at submission
+    let mut nan_rhs = b.clone();
+    nan_rhs[(sc.mseed as usize % n, k - 1)] = f64::NAN;
+    let invalid = [
+        SolveRequest::new(1, nan_rhs),
+        SolveRequest::new(1, b.clone()).with_tolerance(f64::NAN),
+        SolveRequest::new(1, b.clone()).with_tolerance(-1e-12),
+    ];
+    let ((miss, hit, declines), _) = serve(ServiceConfig::default(), |h| {
         h.register_matrix(1, a.clone(), MatrixKind::General);
         let miss = h.solve(SolveRequest::new(1, b.clone())).unwrap();
         let hit = h.solve(SolveRequest::new(1, b.clone())).unwrap();
-        (miss, hit)
+        let declines: Vec<_> = invalid.iter().map(|r| h.solve(r.clone())).collect();
+        (miss, hit, declines)
     });
+    let problems: Vec<String> = declines
+        .iter()
+        .filter_map(|r| match r {
+            Err(SolveError::InvalidInput { .. }) => None,
+            Err(e) => Some(format!("declined with {e:?}, not InvalidInput")),
+            Ok(resp) => Some(format!("served Ok (residual {:.3e})", resp.residual)),
+        })
+        .collect();
+    out.push(CheckOutcome::from(
+        "solve-declines-invalid-input",
+        if problems.is_empty() {
+            Ok("NaN rhs, NaN and negative tolerance declined".into())
+        } else {
+            Err(problems.join("; "))
+        },
+    ));
     out.push(CheckOutcome::from(
         "solve-cache-transparent",
         if !miss.stats.cache_hit && hit.stats.cache_hit {
