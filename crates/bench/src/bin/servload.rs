@@ -263,7 +263,7 @@ fn percentile_ms(samples: &mut [f64], p: f64) -> f64 {
 /// latency plus the fingerprint echo for the zero-stale audit.
 #[allow(clippy::too_many_arguments)]
 fn cluster_phase(
-    h: &solversrv::ClusterHandle,
+    h: &solversrv::SolverHandle,
     clients: usize,
     per_client: usize,
     n: usize,
@@ -359,8 +359,11 @@ fn cluster_run(quick: bool) -> ClusterOutcome {
     let cfg = ClusterConfig {
         shards,
         replicas,
-        workers_per_shard: 1,
-        max_queue: 256,
+        service: ServiceConfig {
+            workers: 1,
+            max_queue: 256,
+            ..ServiceConfig::default()
+        },
         faults: FaultPlan::new(4242)
             .with_crash(victim, crash_step)
             .with_revive(victim, revive_at),

@@ -59,15 +59,17 @@ impl SolveRequest {
         self
     }
 
-    /// The admission check both `submit`s run before touching any state:
-    /// a NaN or negative tolerance, or a non-finite RHS entry, is
-    /// [`SolveError::InvalidInput`]. A zero tolerance is legal (only an
-    /// exact answer meets it).
+    /// The admission check `submit` runs before touching any state: a
+    /// NaN or negative tolerance, a zero-column RHS, or a non-finite RHS
+    /// entry is [`SolveError::InvalidInput`]. A zero tolerance is legal
+    /// (only an exact answer meets it).
     pub(crate) fn validate(&self) -> Result<(), SolveError> {
         let what = if self.tolerance.is_nan() {
             "NaN tolerance"
         } else if self.tolerance < 0.0 {
             "negative tolerance"
+        } else if self.rhs.cols() == 0 {
+            "empty rhs"
         } else if !self.rhs.as_slice().iter().all(|v| v.is_finite()) {
             "non-finite rhs entry"
         } else {
@@ -132,9 +134,10 @@ pub struct SolveResponse {
 /// Everything that can go wrong with a solve request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SolveError {
-    /// The request itself is malformed (a NaN or negative tolerance, a
-    /// non-finite RHS entry) and was refused at submission, before any
-    /// work. Definitive: resubmitting it fails identically.
+    /// The request itself is malformed (a NaN or negative tolerance, an
+    /// empty or non-finite RHS, an empty or non-finite matrix) and was
+    /// refused at submission or registration, before any work.
+    /// Definitive: resubmitting it fails identically.
     InvalidInput {
         /// What is wrong with it.
         what: &'static str,

@@ -19,29 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use simnet::RetryPolicy;
 
 use crate::api::{SolveError, SolveRequest, SolveResponse};
-use crate::cluster::ClusterHandle;
 use crate::service::SolverHandle;
-
-/// Anything that can execute a [`SolveRequest`] end to end: the
-/// single-node [`SolverHandle`] and the sharded [`ClusterHandle`]. The
-/// retry helpers are generic over this, so load generators drive both
-/// through one code path.
-pub trait Solver {
-    /// Submit and block for the answer.
-    fn solve(&self, req: SolveRequest) -> Result<SolveResponse, SolveError>;
-}
-
-impl Solver for SolverHandle {
-    fn solve(&self, req: SolveRequest) -> Result<SolveResponse, SolveError> {
-        SolverHandle::solve(self, req)
-    }
-}
-
-impl Solver for ClusterHandle {
-    fn solve(&self, req: SolveRequest) -> Result<SolveResponse, SolveError> {
-        ClusterHandle::solve(self, req)
-    }
-}
 
 /// Process-wide counter handing each retry loop a distinct jitter seed,
 /// so concurrent clients decorrelate without any coordination.
@@ -53,8 +31,8 @@ static NEXT_SEED: AtomicU64 = AtomicU64::new(0x5eed_0fc1_1e27);
 /// `policy.max_retries` attempts is returned as-is. Each call draws a
 /// fresh jitter seed — see [`solve_with_retry_seeded`] for replayable
 /// schedules.
-pub fn solve_with_retry<S: Solver>(
-    handle: &S,
+pub fn solve_with_retry(
+    handle: &SolverHandle,
     req: &SolveRequest,
     policy: &RetryPolicy,
 ) -> Result<SolveResponse, SolveError> {
@@ -65,8 +43,8 @@ pub fn solve_with_retry<S: Solver>(
 /// [`solve_with_retry`] with an explicit jitter seed: two runs passing
 /// the same seeds observe identical backoff schedules, which is what the
 /// chaos bench and the verifier need for reproducibility.
-pub fn solve_with_retry_seeded<S: Solver>(
-    handle: &S,
+pub fn solve_with_retry_seeded(
+    handle: &SolverHandle,
     req: &SolveRequest,
     policy: &RetryPolicy,
     seed: u64,
@@ -128,9 +106,12 @@ mod tests {
         let cfg = ClusterConfig {
             shards: 2,
             replicas: 2,
-            workers_per_shard: 1,
-            max_queue: 1,
-            panel: 8,
+            service: ServiceConfig {
+                workers: 1,
+                max_queue: 1,
+                panel: 8,
+                ..ServiceConfig::default()
+            },
             ..ClusterConfig::default()
         };
         let a = Matrix::from_fn(8, 8, |i, j| if i == j { 4.0 } else { 0.2 });

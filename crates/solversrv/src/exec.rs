@@ -1,11 +1,7 @@
-//! Execution primitives shared by the single-node service
-//! ([`crate::service`]) and the sharded cluster ([`crate::cluster`]):
-//! result slots, the registered-matrix record, factorization routing
-//! (Cholesky / distributed / local blocked LU) and iterative refinement.
-//!
-//! Keeping these here means the cluster's failover path factors and
-//! refines with *exactly* the same code as the single-node service, so
-//! the verifier's bitwise-equality oracles hold across both.
+//! Execution primitives of the serving engine ([`crate::service`]):
+//! result slots, the registered-operand records, factorization routing
+//! (Cholesky / distributed / local blocked LU), iterative refinement and
+//! the sparse CG path.
 
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -20,13 +16,25 @@ use crate::cache::CachedFactor;
 use crate::fingerprint::Fingerprint;
 use crate::service::DistributedConfig;
 
-/// One registered matrix: the data, how to factor it, and its content
-/// fingerprint.
+/// One registered matrix: the data, how to factor it, its content
+/// fingerprint, and what makes it unsolvable, if anything (an empty or
+/// non-finite matrix is recorded at registration and refused at submit).
 #[derive(Clone)]
 pub(crate) struct Registered {
     pub(crate) matrix: Arc<Matrix>,
     pub(crate) kind: MatrixKind,
     pub(crate) fp: Fingerprint,
+    pub(crate) invalid: Option<&'static str>,
+}
+
+/// What makes a registered operand unsolvable: no entries at all, or a NaN
+/// or infinite one.
+pub(crate) fn defect(empty: bool, finite: bool) -> Option<&'static str> {
+    if empty {
+        Some("empty matrix")
+    } else {
+        (!finite).then_some("non-finite matrix entry")
+    }
 }
 
 /// One registered sparse system: the CSR matrix, the preconditioner its
@@ -39,13 +47,33 @@ pub(crate) struct SparseRegistered {
     pub(crate) fp: Fingerprint,
 }
 
-/// Either kind of registered operand. The cluster only replicates dense
-/// factors, so it keeps using [`Registered`] directly; the single-node
-/// service serves both families through one queue.
+/// Either kind of registered operand; both families share one queue.
 #[derive(Clone)]
 pub(crate) enum AnyRegistered {
     Dense(Registered),
     Sparse(SparseRegistered),
+}
+
+impl AnyRegistered {
+    /// The operand's fingerprint, once `rhs` may be solved against it: a
+    /// defective operand is [`SolveError::InvalidInput`], a row-count
+    /// mismatch [`SolveError::ShapeMismatch`].
+    pub(crate) fn admit(&self, rhs: &Matrix) -> Result<Fingerprint, SolveError> {
+        let (rows, fp) = match self {
+            AnyRegistered::Dense(r) => match r.invalid {
+                Some(what) => return Err(SolveError::InvalidInput { what }),
+                None => (r.matrix.rows(), r.fp),
+            },
+            AnyRegistered::Sparse(r) => (r.matrix.rows(), r.fp),
+        };
+        if rows != rhs.rows() {
+            return Err(SolveError::ShapeMismatch {
+                matrix_rows: rows,
+                rhs_rows: rhs.rows(),
+            });
+        }
+        Ok(fp)
+    }
 }
 
 /// The rendezvous cell a ticket waits on: a worker delivers exactly one
@@ -132,10 +160,9 @@ pub(crate) fn factor_matrix(
             });
         }
     }
-    // Local factorizations (including the cluster shards' failover path)
-    // go through the lookahead pipeline, on every core from
-    // `LOOKAHEAD_MIN_N` on and on this thread below it. Its bits do not
-    // depend on the thread count and equal `lu_blocked`'s, so the
+    // Local factorizations go through the lookahead pipeline, on every
+    // core from `LOOKAHEAD_MIN_N` on and on this thread below it. Its bits
+    // do not depend on the thread count and equal `lu_blocked`'s, so the
     // verifier's cross-implementation equality oracles are unaffected by
     // the threshold.
     let nb = panel.min(n.max(1));

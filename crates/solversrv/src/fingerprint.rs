@@ -32,6 +32,13 @@ impl Fingerprint {
     /// Fingerprint a matrix. `O(n²)` but branch-free and sequential —
     /// negligible next to the `O(n³)` factorization it deduplicates.
     pub fn of(m: &Matrix) -> Self {
+        Self::of_checked(m).0
+    }
+
+    /// [`Fingerprint::of`], plus whether every entry is finite, from the
+    /// same single pass over the entries.
+    pub(crate) fn of_checked(m: &Matrix) -> (Self, bool) {
+        let mut finite = true;
         let mut hash = FNV_OFFSET;
         let mut mix = |word: u64| {
             for byte in word.to_le_bytes() {
@@ -42,13 +49,15 @@ impl Fingerprint {
         mix(m.rows() as u64);
         mix(m.cols() as u64);
         for &x in m.as_slice() {
+            finite &= x.is_finite();
             mix(x.to_bits());
         }
-        Fingerprint {
+        let fp = Fingerprint {
             rows: m.rows() as u64,
             cols: m.cols() as u64,
             hash,
-        }
+        };
+        (fp, finite)
     }
 
     /// Fingerprint a sparse CSR matrix: dimensions, the full sparsity
@@ -58,6 +67,13 @@ impl Fingerprint {
     /// the cached preconditioner setup depends on values too (diagonal,
     /// triangle entries), not just structure.
     pub fn of_csr(a: &CsrMatrix) -> Self {
+        Self::of_csr_checked(a).0
+    }
+
+    /// [`Fingerprint::of_csr`], plus whether every stored value is finite,
+    /// from the same single pass.
+    pub(crate) fn of_csr_checked(a: &CsrMatrix) -> (Self, bool) {
+        let mut finite = true;
         let mut hash = FNV_OFFSET;
         let mut mix = |word: u64| {
             for byte in word.to_le_bytes() {
@@ -75,13 +91,15 @@ impl Fingerprint {
             mix(j as u64);
         }
         for &v in a.values() {
+            finite &= v.is_finite();
             mix(v.to_bits());
         }
-        Fingerprint {
+        let fp = Fingerprint {
             rows: a.rows() as u64,
             cols: a.cols() as u64,
             hash,
-        }
+        };
+        (fp, finite)
     }
 
     /// Derive a fingerprint with `tag` folded into the hash. The sparse

@@ -16,8 +16,10 @@
 //!   Cholesky factors for SPD-tagged matrices, and prepared sparse
 //!   preconditioner setups ([`sparselin::PrecondSetup`]) — the cacheable
 //!   phase of a CG solve,
-//! * [`service`] — the worker pool: bounded submission queue, admission
-//!   control (`Err(Overloaded)` fast-fail), per-request deadlines, and
+//! * [`service`] — the one serving engine, a pool of shard workers:
+//!   bounded submission queue, admission control (`Err(Overloaded)`
+//!   fast-fail, `InvalidInput` for malformed requests and operators),
+//!   per-request deadlines, and
 //!   **RHS batching** — concurrent solves against the same cached factor
 //!   coalesce into one multi-RHS blocked-`trsm` pass so the factor is
 //!   streamed from memory once instead of once per request. Sparse SPD
@@ -28,12 +30,13 @@
 //!   refinement sweeps,
 //! * [`stats`] — [`ServiceStats`] latency/throughput/cache snapshots,
 //! * [`client`] — jittered retry/backoff submission helpers reusing
-//!   [`simnet::RetryPolicy`], generic over single-node and cluster
-//!   handles via the [`Solver`] trait,
-//! * [`cluster`] — sharded, replicated serving: consistent-hash routing
+//!   [`simnet::RetryPolicy`]; one [`SolverHandle`] drives a single-node
+//!   service and a cluster alike,
+//! * [`cluster`] — the same engine with N shards: consistent-hash routing
 //!   of fingerprints across shard services, hot-factor replication,
 //!   crash-tolerant failover driven by [`simnet::FaultPlan`], tiered
-//!   load shedding and rebalance-on-revive (see [`serve_cluster`]).
+//!   load shedding and rebalance-on-revive (see [`serve_cluster`]);
+//!   [`serve`] is the one-shard case.
 //!
 //! Cold factorizations of sufficiently large matrices can optionally route
 //! through the real distributed driver ([`conflux::factorize_threaded`])
@@ -69,10 +72,8 @@ pub mod stats;
 
 pub use api::{MatrixKind, RequestStats, SolveError, SolveRequest, SolveResponse};
 pub use cache::{CachedFactor, FactorCache};
-pub use client::{solve_with_retry, solve_with_retry_seeded, Solver};
-pub use cluster::{
-    serve_cluster, ClusterConfig, ClusterHandle, ClusterReport, HashRing, ShedPolicy,
-};
+pub use client::{solve_with_retry, solve_with_retry_seeded};
+pub use cluster::{serve_cluster, ClusterConfig, ClusterReport, HashRing, ShedPolicy};
 pub use fingerprint::Fingerprint;
 pub use service::{serve, DistributedConfig, ServiceConfig, ServiceReport, SolverHandle, Ticket};
 pub use sparselin::{CsrMatrix, Preconditioner};

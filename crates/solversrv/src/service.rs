@@ -1,7 +1,14 @@
-//! The service itself: worker pool, bounded queue, admission control,
+//! The serving engine: per-shard bounded queues, admission control,
 //! single-flight factoring and multi-RHS batch solving.
 //!
-//! Scheduling invariants:
+//! There is one engine. [`serve`] runs it with one shard;
+//! [`crate::serve_cluster`] runs it with N shards behind a consistent-hash
+//! ring and adds the crash, failover, replication and shedding machinery
+//! of [`crate::cluster`]. Every shard runs the same [`worker_loop`], the
+//! same [`coalesce`] and the same batch solve, so a request answers
+//! bit for bit the same whichever entry point admitted it.
+//!
+//! Scheduling invariants, per shard:
 //!
 //! * **Bounded admission** — `submit` rejects with
 //!   [`SolveError::Overloaded`] once `max_queue` requests are pending;
@@ -19,20 +26,22 @@
 //!   *and* the queue is empty, so every accepted ticket gets an answer.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use conflux::LuGrid;
 use denselin::gemm::gemm_auto;
 use denselin::Matrix;
-use simnet::{AlphaBeta, ClockDomain, Event, RankTracer, Trace};
+use simnet::{RankTracer, ReviveEvent, Trace};
 use sparselin::{CsrMatrix, Preconditioner};
 
 use crate::api::{MatrixKind, RequestStats, SolveError, SolveRequest, SolveResponse};
 use crate::cache::{CachedFactor, FactorCache};
+use crate::cluster::{serve_cluster, ClusterConfig, Counters, HashRing, ShedPolicy};
 use crate::exec::{self, AnyRegistered, Registered, Slot, SparseRegistered};
 use crate::fingerprint::Fingerprint;
-use crate::stats::{Collector, ServiceStats};
+use crate::stats::{ClusterStats, Collector, ServiceStats};
 
 /// Route cold factorizations of large matrices through the real
 /// distributed driver ([`conflux::factorize_threaded`]).
@@ -51,7 +60,7 @@ pub struct DistributedConfig {
     pub grid: LuGrid,
 }
 
-/// Service tuning knobs.
+/// Service tuning knobs (per shard, when a cluster nests them).
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads servicing the queue.
@@ -114,8 +123,8 @@ pub struct ServiceReport {
 // Internal state
 // ---------------------------------------------------------------------------
 
-struct Pending {
-    fp: Fingerprint,
+pub(crate) struct Pending {
+    pub(crate) fp: Fingerprint,
     /// The registered operand (dense matrix + kind, or CSR matrix +
     /// preconditioner) this request solves against. Both families share
     /// the queue, the admission path, deadlines, coalescing and the cache.
@@ -123,10 +132,16 @@ struct Pending {
     rhs: Matrix,
     tolerance: f64,
     deadline: Option<Duration>,
+    /// Submission instant, kept across failovers so end-to-end latency
+    /// (and deadlines) keep counting through a crash.
     enqueued: Instant,
     /// Seconds since the service epoch, for the trace's queue span.
     enqueued_s: f64,
-    slot: Arc<Slot>,
+    pub(crate) slot: Arc<Slot>,
+    /// Times this request was re-routed after a shard crash.
+    pub(crate) failovers: u32,
+    /// Admitted under refinement shedding: serve the direct solve only.
+    pub(crate) no_refine: bool,
 }
 
 /// A claim on a submitted request; [`Ticket::wait`] blocks for the answer.
@@ -135,53 +150,193 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    pub(crate) fn from_slot(slot: Arc<Slot>) -> Self {
-        Ticket { slot }
-    }
-
     /// Block until a worker answers this request.
     pub fn wait(self) -> Result<SolveResponse, SolveError> {
         self.slot.wait_take()
     }
 }
 
-struct State {
-    queue: VecDeque<Pending>,
-    registry: HashMap<u64, AnyRegistered>,
-    cache: FactorCache,
+/// One shard's memory: everything a crash wipes, plus the tenant registry
+/// every shard keeps a copy of.
+pub(crate) struct State {
+    pub(crate) queue: VecDeque<Pending>,
+    pub(crate) registry: HashMap<u64, AnyRegistered>,
+    pub(crate) cache: FactorCache,
     /// Fingerprints some worker is currently factoring (single-flight).
-    factoring: HashSet<Fingerprint>,
-    collector: Collector,
-    shutdown: bool,
+    pub(crate) factoring: HashSet<Fingerprint>,
+    pub(crate) collector: Collector,
+    pub(crate) alive: bool,
+    /// Bumped on every crash. Workers read it at dequeue and re-check it
+    /// before trusting anything computed from pre-crash shard memory.
+    pub(crate) epoch: u64,
+    /// Fail-point clock: each worker fail-point ticks it once.
+    pub(crate) steps: usize,
+    /// Sorted fail-point steps at which this shard still has to crash.
+    pub(crate) crash_at: VecDeque<usize>,
 }
 
-struct Shared {
-    cfg: ServiceConfig,
-    epoch: Instant,
-    state: Mutex<State>,
-    work: Condvar,
+pub(crate) struct Shard {
+    pub(crate) state: Mutex<State>,
+    pub(crate) work: Condvar,
 }
 
-/// Client-side handle to a running service, valid inside the [`serve`]
-/// scope. Shareable across client threads by reference.
+pub(crate) struct Shared {
+    pub(crate) cfg: ServiceConfig,
+    /// Distinct shards each fingerprint may be served from (≤ shards).
+    pub(crate) replicas: usize,
+    pub(crate) shed: ShedPolicy,
+    pub(crate) ring: HashRing,
+    pub(crate) epoch: Instant,
+    pub(crate) shards: Vec<Shard>,
+    pub(crate) shutdown: AtomicBool,
+    /// Submissions routed through the ring (with more than one shard,
+    /// every submission): the revive clock.
+    pub(crate) submitted_total: AtomicU64,
+    /// Scheduled revives, each with its fired flag.
+    pub(crate) revives: Vec<(ReviveEvent, AtomicBool)>,
+    pub(crate) counters: Counters,
+}
+
+impl Shared {
+    /// A stopped engine for `cfg`: every shard alive, empty and idle.
+    pub(crate) fn new(cfg: ClusterConfig) -> Self {
+        let shards = cfg.shards.max(1);
+        let shard = |sid: usize| {
+            let mut crash_at: Vec<usize> = cfg
+                .faults
+                .crashes()
+                .iter()
+                .filter(|c| c.rank == sid)
+                .map(|c| c.at_step)
+                .collect();
+            crash_at.sort_unstable();
+            Shard {
+                state: Mutex::new(State {
+                    queue: VecDeque::new(),
+                    registry: HashMap::new(),
+                    cache: FactorCache::new(cfg.service.cache_budget_bytes),
+                    factoring: HashSet::new(),
+                    collector: Collector::default(),
+                    alive: true,
+                    epoch: 0,
+                    steps: 0,
+                    crash_at: crash_at.into(),
+                }),
+                work: Condvar::new(),
+            }
+        };
+        Shared {
+            replicas: cfg.replicas.clamp(1, shards),
+            shed: cfg.shed,
+            ring: HashRing::new(shards),
+            epoch: Instant::now(),
+            shards: (0..shards).map(shard).collect(),
+            shutdown: AtomicBool::new(false),
+            submitted_total: AtomicU64::new(0),
+            revives: (cfg.faults.revives().iter())
+                .filter(|r| r.rank < shards)
+                .map(|&r| (r, AtomicBool::new(false)))
+                .collect(),
+            counters: Counters::default(),
+            cfg: cfg.service,
+        }
+    }
+
+    /// Run `f` against a live engine: spawn every shard's workers, hand
+    /// `f` the handle, then drain the queues, join the workers and report.
+    /// The scoped threads guarantee no worker outlives the borrowed data.
+    pub(crate) fn run<R>(
+        self,
+        f: impl FnOnce(&SolverHandle) -> R,
+    ) -> (R, ClusterStats, Option<Trace>) {
+        let shared = Arc::new(self);
+        let workers = shared.cfg.workers.max(1);
+        let tracing = shared.cfg.trace;
+        let events = Mutex::new(Vec::new());
+        let result = std::thread::scope(|s| {
+            for sid in 0..shared.shards.len() {
+                for w in 0..workers {
+                    let (shared, events) = (Arc::clone(&shared), &events);
+                    s.spawn(move || {
+                        let mut tracer = if tracing {
+                            RankTracer::wall(sid * workers + w, shared.epoch)
+                        } else {
+                            RankTracer::noop()
+                        };
+                        worker_loop(&shared, sid, &mut tracer);
+                        let evs = tracer.into_events();
+                        if !evs.is_empty() {
+                            events.lock().unwrap().extend(evs);
+                        }
+                    });
+                }
+            }
+            // flag shutdown even if `f` unwinds: a panicking caller must not
+            // leave the workers parked on the condvar forever (the scope join
+            // would deadlock instead of propagating the panic)
+            struct ShutdownOnDrop<'a>(&'a Shared);
+            impl Drop for ShutdownOnDrop<'_> {
+                fn drop(&mut self) {
+                    self.0.shutdown.store(true, Ordering::SeqCst);
+                    for shard in &self.0.shards {
+                        drop(shard.state.lock().unwrap());
+                        shard.work.notify_all();
+                    }
+                }
+            }
+            let guard = ShutdownOnDrop(&shared);
+            let r = f(&SolverHandle {
+                shared: Arc::clone(&shared),
+            });
+            drop(guard);
+            r
+        });
+        let stats = shared.snapshot();
+        debug_assert!(
+            stats.per_shard.iter().all(|s| s.queue_depth == 0),
+            "shutdown drained every shard queue"
+        );
+        let trace = tracing.then(|| Trace {
+            p: shared.shards.len() * workers,
+            model: simnet::AlphaBeta::aries_like(),
+            clock: simnet::ClockDomain::Wall,
+            events: events.into_inner().unwrap(),
+        });
+        (result, stats, trace)
+    }
+
+    /// The `RequestStats::shard` label: which shard served, once there is
+    /// more than one.
+    fn shard_label(&self, sid: usize) -> Option<usize> {
+        (self.shards.len() > 1).then_some(sid)
+    }
+}
+
+/// Client-side handle to a running service or cluster, valid inside the
+/// [`serve`] / [`crate::serve_cluster`] scope. Shareable across client
+/// threads by reference.
 pub struct SolverHandle {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
 }
 
 impl SolverHandle {
     /// Register (or replace) a matrix under `matrix_id`. Returns its
     /// content fingerprint — re-registering different data under the same
     /// id changes the fingerprint, so stale cached factors can never be
-    /// served.
+    /// served. An empty matrix, or one with a NaN or infinite entry, is
+    /// recorded as such and every request against it is refused with
+    /// [`SolveError::InvalidInput`] at submission.
     pub fn register_matrix(&self, matrix_id: u64, matrix: Matrix, kind: MatrixKind) -> Fingerprint {
-        let fp = Fingerprint::of(&matrix); // hash outside the lock
-        let mut st = self.shared.state.lock().unwrap();
-        st.registry.insert(
+        // hash and screen in one pass over the entries, outside the lock
+        let (fp, finite) = Fingerprint::of_checked(&matrix);
+        let invalid = exec::defect(matrix.is_empty(), finite);
+        self.register(
             matrix_id,
             AnyRegistered::Dense(Registered {
                 matrix: Arc::new(matrix),
                 kind,
                 fp,
+                invalid,
             }),
         );
         fp
@@ -192,7 +347,8 @@ impl SolverHandle {
     /// *preconditioner setup* (level schedules, triangles, diagonal), keyed
     /// by content fingerprint + preconditioner so repeat solves skip the
     /// analysis phase — the sparse analogue of reusing a dense factor.
-    /// Errors with [`SolveError::ShapeMismatch`] on a non-square matrix.
+    /// Errors with [`SolveError::ShapeMismatch`] on a non-square matrix and
+    /// [`SolveError::InvalidInput`] on an empty one or a non-finite entry.
     pub fn register_sparse(
         &self,
         matrix_id: u64,
@@ -207,9 +363,12 @@ impl SolverHandle {
         }
         // hash outside the lock, tagging with the preconditioner: the same
         // matrix under Jacobi and SymGS caches two distinct setups
-        let fp = Fingerprint::of_csr(&matrix).with_tag(precond as u64);
-        let mut st = self.shared.state.lock().unwrap();
-        st.registry.insert(
+        let (fp, finite) = Fingerprint::of_csr_checked(&matrix);
+        if let Some(what) = exec::defect(matrix.rows() == 0, finite) {
+            return Err(SolveError::InvalidInput { what });
+        }
+        let fp = fp.with_tag(precond as u64);
+        self.register(
             matrix_id,
             AnyRegistered::Sparse(SparseRegistered {
                 matrix: Arc::new(matrix),
@@ -220,56 +379,73 @@ impl SolverHandle {
         Ok(fp)
     }
 
+    /// Every shard keeps a copy of the registry.
+    fn register(&self, matrix_id: u64, op: AnyRegistered) {
+        for shard in &self.shared.shards {
+            let mut st = shard.state.lock().unwrap();
+            st.registry.insert(matrix_id, op.clone());
+        }
+    }
+
     /// Submit a request. Fails fast — never blocks on a full queue. A NaN
-    /// or negative tolerance or a non-finite RHS entry is refused with
-    /// [`SolveError::InvalidInput`] before the state lock is taken.
+    /// or negative tolerance, a zero-column or non-finite RHS, or a request
+    /// against an empty or non-finite matrix is refused with
+    /// [`SolveError::InvalidInput`] before anything is queued.
+    ///
+    /// One admission contract: a one-shard service rejects only at a full
+    /// queue ([`SolveError::Overloaded`]) and admits under the one lock it
+    /// read the registry under (it routes only once its shard is down).
+    /// With more shards the request is routed to its ring replicas and the
+    /// [`ShedPolicy`] tiers apply first.
     pub fn submit(&self, req: SolveRequest) -> Result<Ticket, SolveError> {
         req.validate()?;
-        let slot = {
-            let mut st = self.shared.state.lock().unwrap();
-            if st.shutdown {
-                return Err(SolveError::ShuttingDown);
+        let sh = &*self.shared;
+        // every shard keeps a registry copy: spread the reads by tenant
+        let home = (req.matrix_id % sh.shards.len() as u64) as usize;
+        let mut st = sh.shards[home].state.lock().unwrap();
+        if sh.shutdown.load(Ordering::SeqCst) {
+            return Err(SolveError::ShuttingDown);
+        }
+        let op = match st.registry.get(&req.matrix_id) {
+            Some(r) => r.clone(),
+            None => {
+                return Err(SolveError::UnknownMatrix {
+                    matrix_id: req.matrix_id,
+                })
             }
-            let reg = match st.registry.get(&req.matrix_id) {
-                Some(r) => r.clone(),
-                None => {
-                    return Err(SolveError::UnknownMatrix {
-                        matrix_id: req.matrix_id,
-                    })
-                }
-            };
-            let (rows, fp) = match &reg {
-                AnyRegistered::Dense(r) => (r.matrix.rows(), r.fp),
-                AnyRegistered::Sparse(r) => (r.matrix.rows(), r.fp),
-            };
-            if rows != req.rhs.rows() {
-                return Err(SolveError::ShapeMismatch {
-                    matrix_rows: rows,
-                    rhs_rows: req.rhs.rows(),
-                });
-            }
-            if st.queue.len() >= self.shared.cfg.max_queue {
-                st.collector.rejected_overloaded += 1;
-                return Err(SolveError::Overloaded {
-                    depth: st.queue.len(),
-                });
-            }
-            st.collector.submitted += 1;
-            let slot = Arc::new(Slot::default());
-            st.queue.push_back(Pending {
-                fp,
-                op: reg,
-                rhs: req.rhs,
-                tolerance: req.tolerance,
-                deadline: req.deadline.or(self.shared.cfg.default_deadline),
-                enqueued: Instant::now(),
-                enqueued_s: self.shared.epoch.elapsed().as_secs_f64(),
-                slot: Arc::clone(&slot),
-            });
-            slot
         };
-        self.shared.work.notify_one();
-        Ok(Ticket::from_slot(slot))
+        let fp = op.admit(&req.rhs)?;
+        // a live lone shard admits here, under this lock; otherwise route
+        let local = sh.shards.len() == 1 && st.alive;
+        if local && st.queue.len() >= sh.cfg.max_queue {
+            st.collector.rejected_overloaded += 1;
+            return Err(SolveError::Overloaded {
+                depth: st.queue.len(),
+            });
+        }
+        let slot = Arc::new(Slot::default());
+        let pending = Pending {
+            fp,
+            op,
+            rhs: req.rhs,
+            tolerance: req.tolerance,
+            deadline: req.deadline.or(sh.cfg.default_deadline),
+            enqueued: Instant::now(),
+            enqueued_s: sh.epoch.elapsed().as_secs_f64(),
+            slot: Arc::clone(&slot),
+            failovers: 0,
+            no_refine: false,
+        };
+        if local {
+            st.collector.submitted += 1;
+            st.queue.push_back(pending);
+            drop(st);
+            sh.shards[home].work.notify_one();
+        } else {
+            drop(st);
+            sh.route(pending)?;
+        }
+        Ok(Ticket { slot })
     }
 
     /// Submit and block for the answer.
@@ -277,104 +453,37 @@ impl SolverHandle {
         self.submit(req)?.wait()
     }
 
-    /// Point-in-time statistics snapshot.
+    /// Point-in-time statistics snapshot (summed over shards).
     pub fn stats(&self) -> ServiceStats {
-        let st = self.shared.state.lock().unwrap();
-        snapshot(&st, self.shared.epoch.elapsed().as_secs_f64())
+        self.shared.snapshot().service
     }
 
-    /// Requests currently waiting in the queue.
+    /// Requests currently waiting in the queues.
     pub fn queue_depth(&self) -> usize {
-        self.shared.state.lock().unwrap().queue.len()
+        let shards = self.shared.shards.iter();
+        shards.map(|s| s.state.lock().unwrap().queue.len()).sum()
     }
-}
-
-fn snapshot(st: &State, elapsed_s: f64) -> ServiceStats {
-    let mut stats = st.collector.snapshot(elapsed_s);
-    stats.cache_hits = st.cache.hits;
-    stats.cache_misses = st.cache.misses;
-    stats.cache_evictions = st.cache.evictions;
-    stats.cache_bytes = st.cache.bytes();
-    stats.cache_entries = st.cache.len();
-    stats
 }
 
 // ---------------------------------------------------------------------------
 // The serve scope
 // ---------------------------------------------------------------------------
 
-/// Run a service: spawn the worker pool, hand the client closure a
-/// [`SolverHandle`], and on return drain the queue, join the workers and
-/// report. The scoped-thread structure guarantees no worker outlives the
+/// Run a service: the engine with one shard, one replica and no fault
+/// plan. Spawns the worker pool, hands the client closure a
+/// [`SolverHandle`], and on return drains the queue, joins the workers and
+/// reports. The scoped-thread structure guarantees no worker outlives the
 /// borrowed matrices.
 pub fn serve<R>(cfg: ServiceConfig, f: impl FnOnce(&SolverHandle) -> R) -> (R, ServiceReport) {
-    let workers = cfg.workers.max(1);
-    let tracing = cfg.trace;
-    let budget = cfg.cache_budget_bytes;
-    let epoch = Instant::now();
-    let shared = Arc::new(Shared {
-        cfg,
-        epoch,
-        state: Mutex::new(State {
-            queue: VecDeque::new(),
-            registry: HashMap::new(),
-            cache: FactorCache::new(budget),
-            factoring: HashSet::new(),
-            collector: Collector::default(),
-            shutdown: false,
-        }),
-        work: Condvar::new(),
-    });
-
-    let events: Mutex<Vec<Event>> = Mutex::new(Vec::new());
-    let result = std::thread::scope(|s| {
-        for w in 0..workers {
-            let shared = Arc::clone(&shared);
-            let events = &events;
-            s.spawn(move || {
-                let mut tracer = if tracing {
-                    RankTracer::wall(w, epoch)
-                } else {
-                    RankTracer::noop()
-                };
-                worker_loop(&shared, &mut tracer);
-                let evs = tracer.into_events();
-                if !evs.is_empty() {
-                    events.lock().unwrap().extend(evs);
-                }
-            });
-        }
-        let handle = SolverHandle {
-            shared: Arc::clone(&shared),
-        };
-        // flag shutdown even if `f` unwinds: a panicking caller must not
-        // leave the workers parked on the condvar forever (the scope join
-        // would deadlock instead of propagating the panic)
-        struct ShutdownOnDrop<'a>(&'a Shared);
-        impl Drop for ShutdownOnDrop<'_> {
-            fn drop(&mut self) {
-                self.0.state.lock().unwrap().shutdown = true;
-                self.0.work.notify_all();
-            }
-        }
-        let guard = ShutdownOnDrop(&shared);
-        let r = f(&handle);
-        drop(guard);
-        r
-    });
-
-    let elapsed_s = epoch.elapsed().as_secs_f64();
-    let st = shared.state.lock().unwrap();
-    debug_assert!(st.queue.is_empty(), "shutdown drained the queue");
-    let stats = snapshot(&st, elapsed_s);
-    drop(st);
-    let trace = tracing.then(|| Trace {
-        p: workers,
-        model: AlphaBeta::aries_like(),
-        clock: ClockDomain::Wall,
-        events: events.into_inner().unwrap(),
-    });
-    (result, ServiceReport { stats, trace })
+    let one = ClusterConfig {
+        shards: 1,
+        replicas: 1,
+        service: cfg,
+        ..ClusterConfig::default()
+    };
+    let (r, report) = serve_cluster(one, f);
+    let (stats, trace) = (report.stats.service, report.trace);
+    (r, ServiceReport { stats, trace })
 }
 
 // ---------------------------------------------------------------------------
@@ -387,88 +496,116 @@ struct BatchMember {
     cache_hit: bool,
 }
 
-fn worker_loop(shared: &Shared, tracer: &mut RankTracer) {
+/// One worker of shard `sid`. Each of its four fail-points (dequeue,
+/// pre-factor, post-factor, pre-deliver) runs under the shard lock; when
+/// the shard has lost the worker's requests there, they fail over.
+fn worker_loop(sh: &Shared, sid: usize, tracer: &mut RankTracer) {
+    let shard = &sh.shards[sid];
     loop {
-        let mut st = shared.state.lock().unwrap();
-        let idx = loop {
+        let mut st = shard.state.lock().unwrap();
+        let lead = loop {
             // skip requests whose factor another worker is computing:
             // they will be coalesced (or unblocked) when it finishes
             let free = (0..st.queue.len()).find(|&i| !st.factoring.contains(&st.queue[i].fp));
-            match free {
-                Some(i) => break Some(i),
-                None if st.shutdown && st.queue.is_empty() => break None,
-                None => st = shared.work.wait(st).unwrap(),
+            match free.filter(|_| st.alive) {
+                Some(i) => break st.queue.remove(i),
+                None if sh.shutdown.load(Ordering::SeqCst) && st.queue.is_empty() => break None,
+                None => st = shard.work.wait(st).unwrap(),
             }
         };
-        let Some(idx) = idx else { return };
-        let lead = st.queue.remove(idx).expect("index in bounds");
+        let Some(lead) = lead else { return };
+        let epoch = st.epoch;
+        if let Some(lost) = sh.fail_point(sid, &mut st, epoch) {
+            drop(st);
+            sh.fail_over(sid, lost, vec![lead]);
+            continue;
+        }
 
         // deadline check at dequeue: a request that waited too long is
         // abandoned *before* any compute is spent on it
         let waited = lead.enqueued.elapsed();
-        if let Some(deadline) = lead.deadline {
-            if waited > deadline {
-                st.collector.deadline_misses += 1;
-                lead.slot
-                    .deliver(Err(SolveError::DeadlineExceeded { waited, deadline }));
-                continue;
-            }
+        if let Some(deadline) = lead.deadline.filter(|&d| waited > d) {
+            st.collector.deadline_misses += 1;
+            lead.slot
+                .deliver(Err(SolveError::DeadlineExceeded { waited, deadline }));
+            continue;
         }
 
         match st.cache.lookup(lead.fp) {
             Some(factor) => {
-                let batch = coalesce(&mut st, lead, shared.cfg.max_batch, true, true);
+                let batch = coalesce(&mut st, lead, sh.cfg.max_batch, true, true);
                 st.cache.note_extra_hits(batch.len() as u64 - 1);
                 drop(st);
-                solve_batch(shared, tracer, &factor, batch, Duration::ZERO, false);
-                shared.work.notify_all();
+                solve_batch(
+                    sh,
+                    sid,
+                    epoch,
+                    tracer,
+                    &factor,
+                    batch,
+                    Duration::ZERO,
+                    false,
+                );
             }
             None => {
                 st.factoring.insert(lead.fp);
+                if let Some(lost) = sh.fail_point(sid, &mut st, epoch) {
+                    drop(st);
+                    sh.fail_over(sid, lost, vec![lead]);
+                    continue;
+                }
                 drop(st);
 
                 let t0 = tracer.begin();
                 let start = Instant::now();
                 let outcome = match &lead.op {
-                    AnyRegistered::Dense(reg) => exec::factor_matrix(
-                        shared.cfg.panel,
-                        shared.cfg.distributed,
-                        &reg.matrix,
-                        reg.kind,
-                    ),
+                    AnyRegistered::Dense(reg) => {
+                        exec::factor_matrix(sh.cfg.panel, sh.cfg.distributed, &reg.matrix, reg.kind)
+                    }
                     AnyRegistered::Sparse(reg) => exec::prepare_sparse(&reg.matrix, reg.precond),
                 };
                 let factor_time = start.elapsed();
+                let kernel = outcome.as_ref().map_or("failed", |f| f.factor.kernel());
+                tracer.push_compute("svc:factor", kernel, t0);
 
-                let mut st = shared.state.lock().unwrap();
+                // a crash here loses the fresh factor with the shard
+                let mut st = shard.state.lock().unwrap();
+                if let Some(lost) = sh.fail_point(sid, &mut st, epoch) {
+                    drop(st);
+                    sh.fail_over(sid, lost, vec![lead]);
+                    continue;
+                }
                 st.factoring.remove(&lead.fp);
                 match outcome {
                     Ok(factored) => {
-                        tracer.push_compute("svc:factor", factored.factor.kernel(), t0);
                         if factored.distributed {
                             st.collector.distributed_factors += 1;
                         }
                         if factored.spd_fallback {
                             st.collector.spd_fallbacks += 1;
                         }
+                        let fp = lead.fp;
                         let factor = Arc::new(factored.factor);
-                        st.cache.insert(lead.fp, Arc::clone(&factor));
+                        st.cache.insert(fp, Arc::clone(&factor));
                         // the leader was a miss; riders are served from
                         // the just-inserted factor and count as hits
-                        let batch = coalesce(&mut st, lead, shared.cfg.max_batch, false, true);
+                        let batch = coalesce(&mut st, lead, sh.cfg.max_batch, false, true);
                         st.cache.note_extra_hits(batch.len() as u64 - 1);
                         drop(st);
+                        sh.replicate(sid, fp, &factor);
+                        let distributed = factored.distributed;
                         solve_batch(
-                            shared,
+                            sh,
+                            sid,
+                            epoch,
                             tracer,
                             &factor,
                             batch,
                             factor_time,
-                            factored.distributed,
+                            distributed,
                         );
                     }
                     Err(err) => {
-                        tracer.push_compute("svc:factor", "failed", t0);
                         // every queued request for this fingerprint will
                         // fail identically: fail them together instead of
                         // re-factoring a singular matrix per request
@@ -480,11 +617,11 @@ fn worker_loop(shared: &Shared, tracer: &mut RankTracer) {
                         }
                     }
                 }
-                // wake workers skipping this fingerprint (leftover riders
-                // beyond max_batch are now plain cache hits)
-                shared.work.notify_all();
             }
         }
+        // wake workers skipping this fingerprint (leftover riders beyond
+        // max_batch are now plain cache hits)
+        shard.work.notify_all();
     }
 }
 
@@ -520,11 +657,14 @@ fn coalesce(
     batch
 }
 
-/// Solve one coalesced batch: stack the RHS columns, run one multi-RHS
-/// triangular solve, check each member's residual, degrade stragglers to
-/// iterative refinement, deliver every response.
+/// Solve one coalesced batch on shard `sid`: stack the RHS columns, run
+/// one multi-RHS triangular solve, check each member's residual, degrade
+/// stragglers to iterative refinement, deliver every response.
+#[allow(clippy::too_many_arguments)]
 fn solve_batch(
-    shared: &Shared,
+    sh: &Shared,
+    sid: usize,
+    epoch: u64,
     tracer: &mut RankTracer,
     factor: &CachedFactor,
     batch: Vec<BatchMember>,
@@ -559,7 +699,8 @@ fn solve_batch(
         }
     }
     if missed > 0 {
-        shared.state.lock().unwrap().collector.deadline_misses += missed;
+        let mut st = sh.shards[sid].state.lock().unwrap();
+        st.collector.deadline_misses += missed;
     }
     if active.is_empty() {
         return;
@@ -568,7 +709,7 @@ fn solve_batch(
     // one fingerprint per batch, so the first member names the operand for
     // everyone; sparse batches route through the CG path (the "factor" is a
     // preconditioner setup, not something solve_into can use)
-    match &active[0].pending.op {
+    let (results, refined) = match &active[0].pending.op {
         AnyRegistered::Sparse(reg) => {
             let a = Arc::clone(&reg.matrix);
             let setup = Arc::clone(
@@ -576,26 +717,41 @@ fn solve_batch(
                     .as_sparse()
                     .expect("sparse request coalesced with a dense factor"),
             );
-            solve_sparse_batch(shared, tracer, &a, &setup, active, factor_time);
+            solve_sparse_batch(sh, sid, tracer, &a, &setup, &active, factor_time)
         }
         AnyRegistered::Dense(reg) => {
             let a = Arc::clone(&reg.matrix);
-            solve_dense_batch(shared, tracer, factor, &a, active, factor_time, distributed);
+            solve_dense_batch(
+                sh,
+                sid,
+                tracer,
+                factor,
+                &a,
+                &active,
+                factor_time,
+                distributed,
+            )
         }
-    }
+    };
+    deliver(sh, sid, epoch, active, results, refined);
 }
 
+type Outcome = Result<SolveResponse, SolveError>;
+
 /// The dense half of [`solve_batch`]: stack, one multi-RHS direct solve,
-/// one batch residual GEMM, per-member refinement degradation.
+/// one batch residual GEMM, per-member refinement degradation. Returns
+/// every member's outcome and how many refined.
+#[allow(clippy::too_many_arguments)]
 fn solve_dense_batch(
-    shared: &Shared,
+    sh: &Shared,
+    sid: usize,
     tracer: &mut RankTracer,
     factor: &CachedFactor,
     a: &Arc<Matrix>,
-    active: Vec<BatchMember>,
+    active: &[BatchMember],
     factor_time: Duration,
     distributed: bool,
-) {
+) -> (Vec<Outcome>, u64) {
     let n = a.rows();
     let batch_size = active.len();
     let k_total: usize = active.iter().map(|m| m.pending.rhs.cols()).sum();
@@ -605,7 +761,7 @@ fn solve_dense_batch(
     let solve_start = Instant::now();
     let mut big = Matrix::zeros(n, k_total);
     let mut off = 0;
-    for member in &active {
+    for member in active {
         big.set_block(0, off, &member.pending.rhs);
         off += member.pending.rhs.cols();
     }
@@ -618,11 +774,10 @@ fn solve_dense_batch(
     tracer.push_compute("svc:solve", factor.kernel(), t0);
 
     // slice out each member's answer, refining where the tolerance missed
-    let mut outcomes: Vec<(Arc<Slot>, Result<SolveResponse, SolveError>, Duration)> =
-        Vec::with_capacity(batch_size);
+    let mut results = Vec::with_capacity(batch_size);
     let mut refined_count = 0u64;
     let mut off = 0;
-    for member in &active {
+    for member in active {
         let p = &member.pending;
         let k = p.rhs.cols();
         let bnorm = p.rhs.frobenius_norm().max(f64::MIN_POSITIVE);
@@ -639,8 +794,8 @@ fn solve_dense_batch(
             distributed_factor: distributed,
             kernel: factor.kernel(),
             cg_iterations: 0,
-            shard: None,
-            failovers: 0,
+            shard: sh.shard_label(sid),
+            failovers: p.failovers,
             fingerprint: Some(p.fp),
         };
         let result = if residual <= p.tolerance {
@@ -648,6 +803,15 @@ fn solve_dense_batch(
                 x: x.block(0, off, n, k),
                 residual,
                 stats,
+            })
+        } else if p.no_refine {
+            // admitted under refinement shedding: the polish this request
+            // needs was the work the cluster shed
+            sh.counters.refines_shed.fetch_add(1, Ordering::Relaxed);
+            Err(SolveError::ToleranceNotMet {
+                achieved: residual,
+                requested: p.tolerance,
+                sweeps: 0,
             })
         } else {
             // graceful degradation: iterative refinement on this member
@@ -658,119 +822,125 @@ fn solve_dense_batch(
                 a,
                 &p.rhs,
                 p.tolerance,
-                shared.cfg.refine_sweeps,
+                sh.cfg.refine_sweeps,
                 x.block(0, off, n, k),
                 residual,
             );
             stats.refine_time = refine_start.elapsed();
             tracer.push_compute("svc:refine", factor.kernel(), t0r);
-            match outcome {
-                Ok((x_ref, res, history)) => {
-                    refined_count += 1;
-                    stats.refined = true;
-                    stats.refine_history = history;
-                    Ok(SolveResponse {
-                        x: x_ref,
-                        residual: res,
-                        stats,
-                    })
+            outcome.map(|(x_ref, res, history)| {
+                refined_count += 1;
+                stats.refined = true;
+                stats.refine_history = history;
+                SolveResponse {
+                    x: x_ref,
+                    residual: res,
+                    stats,
                 }
-                Err(e) => Err(e),
-            }
+            })
         };
-        outcomes.push((Arc::clone(&p.slot), result, p.enqueued.elapsed()));
+        results.push(result);
         off += k;
     }
-
-    account_and_deliver(shared, batch_size, refined_count, outcomes);
+    (results, refined_count)
 }
 
 /// The sparse half of [`solve_batch`]: every member solves by CG against
 /// the shared matrix and cached preconditioner setup, column by column,
 /// with relaxed-tolerance degradation instead of refinement sweeps.
 fn solve_sparse_batch(
-    shared: &Shared,
+    sh: &Shared,
+    sid: usize,
     tracer: &mut RankTracer,
     a: &Arc<CsrMatrix>,
     setup: &Arc<sparselin::PrecondSetup>,
-    active: Vec<BatchMember>,
+    active: &[BatchMember],
     factor_time: Duration,
-) {
+) -> (Vec<Outcome>, u64) {
     let batch_size = active.len();
     let t0 = tracer.begin();
     let solve_start = Instant::now();
     let mut solved = Vec::with_capacity(batch_size);
-    for member in &active {
+    for member in active {
         let p = &member.pending;
         solved.push(exec::solve_sparse_member(
             a,
             setup,
             &p.rhs,
             p.tolerance,
-            shared.cfg.sparse_relax,
+            sh.cfg.sparse_relax,
         ));
     }
     let solve_time = solve_start.elapsed();
     tracer.push_compute("svc:solve", "cg", t0);
 
-    let mut outcomes: Vec<(Arc<Slot>, Result<SolveResponse, SolveError>, Duration)> =
-        Vec::with_capacity(batch_size);
     let mut refined_count = 0u64;
-    for (member, solved) in active.iter().zip(solved) {
-        let p = &member.pending;
-        let result = solved.map(|(x, residual, degraded, history, iterations)| {
-            if degraded {
-                refined_count += 1;
-            }
-            SolveResponse {
-                x,
-                residual,
-                stats: RequestStats {
-                    queue_wait: member.queue_wait,
-                    factor_time,
-                    solve_time,
-                    refine_time: Duration::ZERO,
-                    cache_hit: member.cache_hit,
-                    batch_size,
-                    refined: degraded,
-                    refine_history: if degraded { history } else { Vec::new() },
-                    distributed_factor: false,
-                    kernel: "cg",
-                    cg_iterations: iterations,
-                    shard: None,
-                    failovers: 0,
-                    fingerprint: Some(p.fp),
-                },
-            }
-        });
-        outcomes.push((Arc::clone(&p.slot), result, p.enqueued.elapsed()));
-    }
-    account_and_deliver(shared, batch_size, refined_count, outcomes);
+    let results = active
+        .iter()
+        .zip(solved)
+        .map(|(member, solved)| {
+            solved.map(|(x, residual, degraded, history, iterations)| {
+                if degraded {
+                    refined_count += 1;
+                }
+                SolveResponse {
+                    x,
+                    residual,
+                    stats: RequestStats {
+                        queue_wait: member.queue_wait,
+                        factor_time,
+                        solve_time,
+                        refine_time: Duration::ZERO,
+                        cache_hit: member.cache_hit,
+                        batch_size,
+                        refined: degraded,
+                        refine_history: if degraded { history } else { Vec::new() },
+                        distributed_factor: false,
+                        kernel: "cg",
+                        cg_iterations: iterations,
+                        shard: sh.shard_label(sid),
+                        failovers: member.pending.failovers,
+                        fingerprint: Some(member.pending.fp),
+                    },
+                }
+            })
+        })
+        .collect();
+    (results, refined_count)
 }
 
-/// Shared tail of both batch paths: record batch/refinement/latency
+/// Shared tail of both batch paths, at the pre-deliver fail-point: if the
+/// shard died while the batch was computed, the answers die with it and
+/// the batch fails over; otherwise record batch/refinement/latency
 /// counters under the lock, then deliver every response outside it.
-fn account_and_deliver(
-    shared: &Shared,
-    batch_size: usize,
+fn deliver(
+    sh: &Shared,
+    sid: usize,
+    epoch: u64,
+    active: Vec<BatchMember>,
+    results: Vec<Outcome>,
     refined_count: u64,
-    outcomes: Vec<(Arc<Slot>, Result<SolveResponse, SolveError>, Duration)>,
 ) {
-    {
-        let mut st = shared.state.lock().unwrap();
-        st.collector.record_batch(batch_size);
-        st.collector.refined += refined_count;
-        for (_, result, latency) in &outcomes {
-            match result {
-                Ok(_) => {
-                    st.collector.completed += 1;
-                    st.collector.latencies.push(latency.as_secs_f64());
-                }
-                Err(_) => st.collector.failed += 1,
+    let mut st = sh.shards[sid].state.lock().unwrap();
+    if let Some(lost) = sh.fail_point(sid, &mut st, epoch) {
+        drop(st);
+        sh.fail_over(sid, lost, active.into_iter().map(|m| m.pending).collect());
+        return;
+    }
+    st.collector.record_batch(active.len());
+    st.collector.refined += refined_count;
+    for (member, result) in active.iter().zip(&results) {
+        match result {
+            Ok(_) => {
+                st.collector.completed += 1;
+                let latency = member.pending.enqueued.elapsed();
+                st.collector.latencies.push(latency.as_secs_f64());
             }
+            Err(_) => st.collector.failed += 1,
         }
     }
-    for (slot, result, _) in outcomes {
-        slot.deliver(result);
+    drop(st);
+    for (member, result) in active.into_iter().zip(results) {
+        member.pending.slot.deliver(result);
     }
 }

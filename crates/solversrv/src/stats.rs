@@ -226,8 +226,8 @@ impl fmt::Display for ClusterStats {
     }
 }
 
-/// Running collector the service mutates under its state lock; snapshots
-/// compute the percentile fields.
+/// Running collector each shard mutates under its state lock; snapshots
+/// sum the shards and compute the percentile fields.
 #[derive(Debug, Default)]
 pub(crate) struct Collector {
     pub submitted: u64,
@@ -252,8 +252,25 @@ impl Collector {
         self.max_batch = self.max_batch.max(size);
     }
 
-    pub fn snapshot(&self, elapsed_s: f64) -> ServiceStats {
-        let mut sorted = self.latencies.clone();
+    /// Add another shard's counts and latencies into this one.
+    pub fn absorb(&mut self, other: &Collector) {
+        self.submitted += other.submitted;
+        self.completed += other.completed;
+        self.rejected_overloaded += other.rejected_overloaded;
+        self.deadline_misses += other.deadline_misses;
+        self.failed += other.failed;
+        self.refined += other.refined;
+        self.spd_fallbacks += other.spd_fallbacks;
+        self.distributed_factors += other.distributed_factors;
+        self.batches += other.batches;
+        self.batched_requests += other.batched_requests;
+        self.max_batch = self.max_batch.max(other.max_batch);
+        self.latencies.extend_from_slice(&other.latencies);
+    }
+
+    /// Consumes the collector: its latencies are sorted in place.
+    pub fn snapshot(mut self, elapsed_s: f64) -> ServiceStats {
+        let mut sorted = std::mem::take(&mut self.latencies);
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let pct = |q: f64| -> Duration {
             if sorted.is_empty() {

@@ -13,7 +13,8 @@
 use denselin::{lu_blocked, Matrix};
 use simnet::FaultPlan;
 use solversrv::{
-    serve_cluster, ClusterConfig, Fingerprint, HashRing, MatrixKind, SolveError, SolveRequest,
+    serve, serve_cluster, ClusterConfig, Fingerprint, HashRing, MatrixKind, Preconditioner,
+    ServiceConfig, SolveRequest,
 };
 
 fn dd_matrix(n: usize, seed: u64) -> Matrix {
@@ -30,8 +31,11 @@ fn base_cfg(shards: usize, replicas: usize) -> ClusterConfig {
     ClusterConfig {
         shards,
         replicas,
-        workers_per_shard: 1,
-        panel: 8,
+        service: ServiceConfig {
+            workers: 1,
+            panel: 8,
+            ..ServiceConfig::default()
+        },
         ..ClusterConfig::default()
     }
 }
@@ -43,43 +47,6 @@ fn direct_solve(a: &Matrix, b: &Matrix, panel: usize) -> Matrix {
     let mut x = Matrix::zeros(b.rows(), b.cols());
     f.solve_into(b, &mut x);
     x
-}
-
-#[test]
-fn invalid_requests_are_refused_before_routing() {
-    let n = 8;
-    let mut nan_rhs = Matrix::from_fn(n, 1, |i, _| i as f64);
-    nan_rhs[(3, 0)] = f64::NAN;
-    let ok_rhs = Matrix::from_fn(n, 1, |i, _| 1.0 + i as f64);
-    let cases = [
-        (SolveRequest::new(1, nan_rhs), "non-finite rhs entry"),
-        (
-            SolveRequest::new(1, ok_rhs.clone()).with_tolerance(f64::NAN),
-            "NaN tolerance",
-        ),
-        (
-            SolveRequest::new(1, ok_rhs.clone()).with_tolerance(-1.0),
-            "negative tolerance",
-        ),
-    ];
-    let (errs, report) = serve_cluster(base_cfg(3, 2), |h| {
-        h.register_matrix(1, dd_matrix(n, 4), MatrixKind::General);
-        let errs: Vec<_> = cases
-            .iter()
-            .map(|(req, _)| h.submit(req.clone()).map(|_| ()).unwrap_err())
-            .collect();
-        // a zero tolerance stays legal: the request is admitted
-        h.submit(SolveRequest::new(1, ok_rhs.clone()).with_tolerance(0.0))
-            .map(|t| drop(t.wait()))
-            .unwrap();
-        errs
-    });
-    for (err, (_, what)) in errs.iter().zip(&cases) {
-        assert_eq!(*err, SolveError::InvalidInput { what });
-        assert!(!err.is_retryable());
-    }
-    assert_eq!(report.stats.service.submitted, 1, "only the valid request");
-    assert!(report.stats.accounted(), "{:?}", report.stats);
 }
 
 #[test]
@@ -343,4 +310,66 @@ fn reregistered_content_is_never_served_stale_across_failover() {
         assert_eq!(r_new.x, direct_solve(&new, &b, 8));
     });
     assert!(report.stats.accounted());
+}
+
+#[test]
+fn sparse_system_fails_over_bitwise_to_the_single_node_answer() {
+    // the shards run the single-node engine, so they serve sparse CG too,
+    // and replicate its preconditioner setup like a dense factor
+    let a = sparselin::spd_laplacian(12, 10, 0.5);
+    let b = Matrix::from_fn(a.rows(), 2, |i, j| (1 + i + 3 * j) as f64);
+    let req = SolveRequest::new(1, b).with_tolerance(1e-8);
+    let (single, _) = serve(ServiceConfig::default(), |h| {
+        h.register_sparse(1, a.clone(), Preconditioner::SymGs)
+            .unwrap();
+        h.solve(req.clone()).unwrap()
+    });
+    let ((first, failed_over, primary), report) = serve_cluster(base_cfg(3, 2), |h| {
+        let fp = h
+            .register_sparse(1, a.clone(), Preconditioner::SymGs)
+            .unwrap();
+        let primary = h.route_of(fp)[0];
+        let first = h.solve(req.clone()).unwrap();
+        assert!(h.kill_shard(primary));
+        (first, h.solve(req.clone()).unwrap(), primary)
+    });
+    assert_eq!(first.stats.shard, Some(primary));
+    assert_eq!(first.stats.kernel, "cg");
+    assert_ne!(failed_over.stats.shard, Some(primary));
+    assert!(failed_over.stats.cache_hit, "the replica holds the setup");
+    assert_eq!(failed_over.stats.fingerprint, single.stats.fingerprint);
+    assert_eq!(first.x.as_slice(), single.x.as_slice());
+    assert_eq!(failed_over.x.as_slice(), single.x.as_slice());
+    assert_eq!(report.stats.replicated_factors, 1);
+    assert!(report.stats.accounted(), "{:?}", report.stats);
+}
+
+#[test]
+fn traced_cluster_records_shard_worker_spans() {
+    let n = 16;
+    let cfg = ClusterConfig {
+        service: ServiceConfig {
+            trace: true,
+            ..base_cfg(3, 2).service
+        },
+        ..base_cfg(3, 2)
+    };
+    let ((), report) = serve_cluster(cfg, |h| {
+        for t in 0..4u64 {
+            h.register_matrix(t, dd_matrix(n, 60 + t), MatrixKind::General);
+            let b = Matrix::from_fn(n, 1, |i, _| (i + 1) as f64);
+            h.solve(SolveRequest::new(t, b.clone())).unwrap();
+            h.solve(SolveRequest::new(t, b)).unwrap();
+        }
+    });
+    let trace = report.trace.expect("tracing was on");
+    assert_eq!(trace.p, 3, "one timeline per shard worker");
+    for phase in ["svc:queue", "svc:factor", "svc:solve"] {
+        assert!(
+            trace.events.iter().any(|e| e.phase == phase),
+            "no {phase} span"
+        );
+    }
+    let json = trace.to_chrome_trace();
+    assert_eq!(json.matches('{').count(), json.matches('}').count());
 }

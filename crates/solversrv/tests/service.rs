@@ -7,7 +7,10 @@ use std::time::Duration;
 use denselin::SplitMix64;
 use denselin::{lu_blocked, Matrix};
 use simnet::RetryPolicy;
-use solversrv::{serve, solve_with_retry, MatrixKind, ServiceConfig, SolveError, SolveRequest};
+use solversrv::{
+    serve, serve_cluster, solve_with_retry, ClusterConfig, CsrMatrix, MatrixKind, Preconditioner,
+    ServiceConfig, ServiceStats, SolveError, SolveRequest, SolverHandle,
+};
 
 fn well_conditioned(n: usize, seed: u64) -> Matrix {
     let mut rng = SplitMix64::new(seed);
@@ -121,57 +124,126 @@ fn typed_errors_for_bad_requests() {
     });
 }
 
-/// Submit `req` against a registered 8x8 matrix: the typed error it is
-/// refused with, and how many requests the service admitted.
-fn refused_at_submit(req: SolveRequest) -> (SolveError, u64) {
-    let (err, report) = serve(ServiceConfig::default(), |h| {
-        h.register_matrix(1, well_conditioned(8, 8), MatrixKind::General);
-        h.submit(req).map(|_| ()).unwrap_err()
-    });
-    assert!(!err.is_retryable(), "{err}");
-    (err, report.stats.submitted)
-}
-
+/// Every malformed request and operator, through both entry points: each
+/// is refused with `InvalidInput` and its reason, nothing is queued or
+/// factored, and a zero tolerance stays legal.
 #[test]
-fn non_finite_rhs_is_refused_at_submit() {
-    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        let mut b = Matrix::from_fn(8, 2, |i, j| (1 + i + j) as f64);
-        b[(5, 1)] = bad;
-        let (err, admitted) = refused_at_submit(SolveRequest::new(1, b));
-        assert_eq!(
-            err,
-            SolveError::InvalidInput {
-                what: "non-finite rhs entry"
-            }
-        );
-        assert_eq!(admitted, 0, "no solve may run on a {bad} entry");
-    }
-}
-
-#[test]
-fn nan_tolerance_is_refused_at_submit() {
-    let req = SolveRequest::new(1, Matrix::zeros(8, 1)).with_tolerance(f64::NAN);
-    let (err, admitted) = refused_at_submit(req);
-    assert_eq!(
-        err,
-        SolveError::InvalidInput {
-            what: "NaN tolerance"
+fn invalid_input_is_refused_by_serve_and_cluster() {
+    let n = 8;
+    let good = well_conditioned(n, 8);
+    let ok = Matrix::from_fn(n, 2, |i, j| (1 + i + j) as f64);
+    let rhs_with = |v: f64| {
+        let mut b = ok.clone();
+        b[(5, 1)] = v;
+        b
+    };
+    let matrix_with = |v: f64| {
+        let mut a = good.clone();
+        a[(2, 3)] = v;
+        a
+    };
+    // (dense matrix registered under id 1, request against it, reason)
+    let dense = [
+        (
+            good.clone(),
+            SolveRequest::new(1, rhs_with(f64::NAN)),
+            "non-finite rhs entry",
+        ),
+        (
+            good.clone(),
+            SolveRequest::new(1, rhs_with(f64::INFINITY)),
+            "non-finite rhs entry",
+        ),
+        (
+            good.clone(),
+            SolveRequest::new(1, rhs_with(f64::NEG_INFINITY)),
+            "non-finite rhs entry",
+        ),
+        (
+            good.clone(),
+            SolveRequest::new(1, ok.clone()).with_tolerance(f64::NAN),
+            "NaN tolerance",
+        ),
+        (
+            good.clone(),
+            SolveRequest::new(1, ok.clone()).with_tolerance(-1e-12),
+            "negative tolerance",
+        ),
+        (
+            good.clone(),
+            SolveRequest::new(1, Matrix::zeros(n, 0)),
+            "empty rhs",
+        ),
+        (
+            matrix_with(f64::NAN),
+            SolveRequest::new(1, ok.clone()),
+            "non-finite matrix entry",
+        ),
+        (
+            matrix_with(f64::INFINITY),
+            SolveRequest::new(1, ok.clone()),
+            "non-finite matrix entry",
+        ),
+        (
+            Matrix::zeros(0, 0),
+            SolveRequest::new(1, Matrix::zeros(0, 1)),
+            "empty matrix",
+        ),
+    ];
+    let sparse_with = |v: f64| {
+        let mut d = sparselin::spd_laplacian(3, 3, 0.5).to_dense();
+        d[(4, 4)] = v;
+        CsrMatrix::from_dense(&d)
+    };
+    // (sparse matrix registered under id 2, reason)
+    let sparse = [
+        (sparse_with(f64::NAN), "non-finite matrix entry"),
+        (sparse_with(f64::NEG_INFINITY), "non-finite matrix entry"),
+        (CsrMatrix::from_triplets(0, 0, &[]).unwrap(), "empty matrix"),
+    ];
+    let run = |h: &SolverHandle| {
+        let mut errs: Vec<SolveError> = dense
+            .iter()
+            .map(|(a, req, _)| {
+                h.register_matrix(1, a.clone(), MatrixKind::General);
+                h.submit(req.clone()).map(|_| ()).unwrap_err()
+            })
+            .collect();
+        errs.extend(sparse.iter().map(|(a, _)| {
+            h.register_sparse(2, a.clone(), Preconditioner::Jacobi)
+                .unwrap_err()
+        }));
+        // a zero tolerance stays legal: the request is admitted
+        h.register_matrix(1, good.clone(), MatrixKind::General);
+        h.submit(SolveRequest::new(1, ok.clone()).with_tolerance(0.0))
+            .map(|t| drop(t.wait()))
+            .unwrap();
+        errs
+    };
+    let reasons: Vec<&str> = dense
+        .iter()
+        .map(|c| c.2)
+        .chain(sparse.iter().map(|c| c.1))
+        .collect();
+    let check = |entry: &str, errs: Vec<SolveError>, stats: &ServiceStats| {
+        assert_eq!(errs.len(), reasons.len());
+        for (err, &what) in errs.iter().zip(&reasons) {
+            assert_eq!(*err, SolveError::InvalidInput { what }, "{entry}");
+            assert!(!err.is_retryable(), "{entry}: {err}");
         }
-    );
-    assert_eq!(admitted, 0);
-}
-
-#[test]
-fn negative_tolerance_is_refused_at_submit() {
-    let req = SolveRequest::new(1, Matrix::zeros(8, 1)).with_tolerance(-1e-12);
-    let (err, admitted) = refused_at_submit(req);
-    assert_eq!(
-        err,
-        SolveError::InvalidInput {
-            what: "negative tolerance"
-        }
-    );
-    assert_eq!(admitted, 0);
+        assert_eq!(stats.submitted, 1, "{entry}: only the valid request");
+        assert_eq!(stats.cache_misses, 1, "{entry}: only the valid factor");
+    };
+    let (errs, report) = serve(ServiceConfig::default(), |h| run(h));
+    check("serve", errs, &report.stats);
+    let cluster = ClusterConfig {
+        shards: 3,
+        replicas: 2,
+        ..ClusterConfig::default()
+    };
+    let (errs, report) = serve_cluster(cluster, |h| run(h));
+    check("serve_cluster", errs, &report.stats.service);
+    assert!(report.stats.accounted(), "{:?}", report.stats);
 }
 
 #[test]

@@ -146,21 +146,27 @@ fn nan_rhs_fails_typed_instead_of_ok() {
 
 #[test]
 fn nan_matrix_entry_fails_typed_instead_of_ok() {
-    // a NaN in the operator makes the true residual NaN; acceptance must
-    // count it as a miss, never serve `Ok` with a NaN `x` and residual 0
+    // a NaN in the operator is refused at registration: nothing is set up,
+    // queued or solved, and the id stays unregistered
     let mut dense = spd_laplacian(12, 11, 0.3).to_dense();
     dense[(5, 6)] = f64::NAN;
     dense[(6, 5)] = f64::NAN;
     let a = CsrMatrix::from_dense(&dense);
     let b = rhs(a.rows(), 1, 7);
-    let (res, report) = serve(ServiceConfig::default(), |h| {
-        h.register_sparse(1, a.clone(), Preconditioner::Jacobi)
-            .unwrap();
-        h.solve(SolveRequest::new(1, b.clone()))
+    let ((reg, res), report) = serve(ServiceConfig::default(), |h| {
+        let reg = h.register_sparse(1, a.clone(), Preconditioner::Jacobi);
+        (reg, h.solve(SolveRequest::new(1, b.clone())))
     });
-    let err = res.expect_err("a NaN operator must not produce Ok");
-    assert!(matches!(err, SolveError::ToleranceNotMet { .. }), "{err}");
-    assert_eq!(report.stats.failed, 1);
+    let err = reg.expect_err("a NaN operator must not register");
+    assert_eq!(
+        err,
+        SolveError::InvalidInput {
+            what: "non-finite matrix entry"
+        }
+    );
+    assert!(res.is_err(), "a NaN operator must not produce Ok");
+    assert_eq!(report.stats.submitted, 0);
+    assert_eq!(report.stats.cache_misses, 0, "nothing was set up");
 }
 
 #[test]

@@ -22,8 +22,9 @@
 //! * **Solve** — `solversrv`: a cache-hit solve is bitwise identical to the
 //!   cache-miss solve and to driving the same blocked factorization
 //!   directly; a batched multi-RHS solve matches per-column solves; a NaN
-//!   RHS entry or a NaN or negative tolerance is declined with the typed
-//!   `InvalidInput`, never served.
+//!   RHS entry, a NaN or negative tolerance, a zero-column RHS, and a
+//!   non-finite or empty matrix are declined with the typed
+//!   `InvalidInput`, never queued or factored.
 //! * **Sparse** — `sparselin`: parallel SpMV is bitwise identical to the
 //!   serial kernel at every thread count; CG on the seeded SPD pattern
 //!   matches densifying the same matrix and solving by blocked LU; the
@@ -820,19 +821,32 @@ fn run_solve(sc: &Scenario) -> Vec<CheckOutcome> {
     // adversarial requests the service must decline at submission
     let mut nan_rhs = b.clone();
     nan_rhs[(sc.mseed as usize % n, k - 1)] = f64::NAN;
+    // a non-finite operator (NaN or Inf by seed) under id 2, an empty one
+    // under id 3
+    let mut bad_a = a.clone();
+    bad_a[(sc.mseed as usize % n, (sc.mseed as usize / 7) % n)] = if sc.mseed.is_multiple_of(2) {
+        f64::NAN
+    } else {
+        f64::INFINITY
+    };
     let invalid = [
         SolveRequest::new(1, nan_rhs),
         SolveRequest::new(1, b.clone()).with_tolerance(f64::NAN),
         SolveRequest::new(1, b.clone()).with_tolerance(-1e-12),
+        SolveRequest::new(1, Matrix::zeros(n, 0)),
+        SolveRequest::new(2, b.clone()),
+        SolveRequest::new(3, Matrix::zeros(0, 1)),
     ];
-    let ((miss, hit, declines), _) = serve(ServiceConfig::default(), |h| {
+    let ((miss, hit, declines), report) = serve(ServiceConfig::default(), |h| {
         h.register_matrix(1, a.clone(), MatrixKind::General);
+        h.register_matrix(2, bad_a.clone(), MatrixKind::General);
+        h.register_matrix(3, Matrix::zeros(0, 0), MatrixKind::General);
         let miss = h.solve(SolveRequest::new(1, b.clone())).unwrap();
         let hit = h.solve(SolveRequest::new(1, b.clone())).unwrap();
         let declines: Vec<_> = invalid.iter().map(|r| h.solve(r.clone())).collect();
         (miss, hit, declines)
     });
-    let problems: Vec<String> = declines
+    let mut problems: Vec<String> = declines
         .iter()
         .filter_map(|r| match r {
             Err(SolveError::InvalidInput { .. }) => None,
@@ -840,10 +854,16 @@ fn run_solve(sc: &Scenario) -> Vec<CheckOutcome> {
             Ok(resp) => Some(format!("served Ok (residual {:.3e})", resp.residual)),
         })
         .collect();
+    if report.stats.submitted != 2 || report.stats.cache_misses != 1 {
+        problems.push(format!(
+            "{} admitted and {} factored, want only the 2 valid solves on 1 factor",
+            report.stats.submitted, report.stats.cache_misses
+        ));
+    }
     out.push(CheckOutcome::from(
         "solve-declines-invalid-input",
         if problems.is_empty() {
-            Ok("NaN rhs, NaN and negative tolerance declined".into())
+            Ok("NaN rhs, NaN and negative tolerance, empty rhs, non-finite and empty matrix declined".into())
         } else {
             Err(problems.join("; "))
         },
@@ -921,7 +941,10 @@ fn run_solve(sc: &Scenario) -> Vec<CheckOutcome> {
     let ccfg = ClusterConfig {
         shards: 3,
         replicas: 2,
-        workers_per_shard: 1,
+        service: ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
         ..ClusterConfig::default()
     };
     let ((fp, primary, cold, failover, swapped), _) = serve_cluster(ccfg, |h| {

@@ -24,10 +24,10 @@ fn main() {
         .map(|_| Matrix::random_diagonally_dominant(&mut rng, n))
         .collect();
 
+    // one worker per shard is ClusterConfig's default `service` setting
     let cfg = ClusterConfig {
         shards: 4,
         replicas: 2,
-        workers_per_shard: 1,
         ..ClusterConfig::default()
     };
     let policy = RetryPolicy::default();
