@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! repro            every block, each between its fence lines
-//! repro NAME       one block: table2, fig6a, fig6b, fig7, ablations or theory
+//! repro NAME       one block: table2, fig6a, fig6b, fig7, theory, pebbles or
+//!                  ablations
 //! repro --check    regenerate every fenced block of EXPERIMENTS.md and
 //!                  exit non-zero at the first one that differs
 //! repro --write    rewrite the fenced blocks of EXPERIMENTS.md in place

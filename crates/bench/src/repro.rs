@@ -17,7 +17,11 @@ use std::path::{Path, PathBuf};
 use baselines::models;
 use conflux::grid::{choose_grid, LuGrid};
 use conflux::{factorize, ConfluxConfig, PivotStrategy};
+use iobound::verify::{exact_points, lu_schedule_vs_bound, mmm_schedule_vs_bound};
 use iobound::{kernels, lu_bound, minimize_rho, mmm_bound, shapes, statement_rho, LuBound};
+use pebbling::builders::lu_vertex_counts;
+use pebbling::{execute, execute_parallel, greedy_partition, greedy_schedule};
+use pebbling::{lu_cdag, min_dominator_size, mmm_cdag, owner_computes_schedule};
 use simnet::{BcastAlgo, ELEMENT_BYTES};
 
 use crate::experiments::{measure_all, Implementation, Measurement};
@@ -27,12 +31,13 @@ pub type Render = fn(&mut Sweep) -> String;
 
 /// Every block `repro` renders, by name: each is one subcommand and one
 /// fence in `EXPERIMENTS.md`, in the order the file shows them.
-pub const BLOCKS: [(&str, Render); 6] = [
+pub const BLOCKS: [(&str, Render); 7] = [
     ("table2", table2),
     ("fig6a", fig6a),
     ("fig6b", fig6b),
     ("fig7", fig7),
     ("theory", theory),
+    ("pebbles", pebbles),
     ("ablations", ablations),
 ];
 
@@ -283,6 +288,91 @@ COnfLUX against the Section 6 bound at the Table 2 points (mean over the active 
             per_rank / bound
         );
     }
+    out
+}
+
+/// Experiment 7, second half: the red-blue pebble game on the paper's small
+/// cDAGs. The exact optimum, Belady schedules of named compute orders and
+/// the `iobound` bound side by side; larger LU and MMM schedules against
+/// their bounds; Fig. 1's structure; and one Section 5 parallel game.
+fn pebbles(_: &mut Sweep) -> String {
+    let mut out = String::from(
+        "Exact optimum, Belady schedules and the `iobound` bound (lower-order terms included):\n\n",
+    );
+    out +=
+        &header("cDAG | vertices | M | exact Q | Belady Q by compute order | bound | exact/bound");
+    for p in exact_points() {
+        let belady: Vec<String> = p.belady.iter().map(|(o, q)| format!("{o} {q}")).collect();
+        out += &format!(
+            "| {} | {} | {} | {} | {} | {:.1} | {:.2} |\n",
+            p.cdag,
+            p.vertices,
+            p.m,
+            p.optimal,
+            belady.join(", "),
+            p.bound,
+            p.optimal as f64 / p.bound
+        );
+    }
+
+    out += "\nThe right-looking LU order against `lu_bound`, Belady eviction:\n\n";
+    out += &header("n | M | Q | bound | Q/bound");
+    for (n, m) in [(8, 20), (16, 40), (24, 64), (32, 100), (48, 196), (64, 256)] {
+        let (q, bound) = lu_schedule_vs_bound(n, m);
+        out += &format!("| {n} | {m} | {q} | {bound:.1} | {:.2} |\n", q / bound);
+    }
+    out +=
+        "\nMMM in `t × t × t` tiles against `mmm_bound`, Belady eviction (`t = n` is untiled):\n\n";
+    out += &header("n | M | t | Q | bound | Q/bound");
+    for (n, m, t) in [(8, 14, 8), (8, 14, 2), (16, 48, 16), (16, 48, 4)] {
+        let (q, bound) = mmm_schedule_vs_bound(n, m, t);
+        out += &format!(
+            "| {n} | {m} | {t} | {q} | {bound:.1} | {:.2} |\n",
+            q / bound
+        );
+    }
+
+    let (n, x) = (4, 8);
+    let (g, _) = lu_cdag(n);
+    let (inputs, s1, s2) = lu_vertex_counts(n);
+    let part = greedy_partition(&g, x);
+    part.validate(&g, x)
+        .expect("a greedy partition is an X-partition");
+    let dom = min_dominator_size(&g, &g.compute_vertices());
+    out += &format!(
+        "\nFig. 1, the LU cDAG at N = {n}: {} vertices = {inputs} inputs + {s1} S1 + {s2} S2. \
+         Its greedy {x}-partition has {} subcomputations, the largest of {} vertices; \
+         the minimum dominator of all {} compute vertices has {dom}, against {inputs} inputs.\n",
+        g.len(),
+        part.len(),
+        part.v_max(),
+        s1 + s2
+    );
+
+    let (n, p, m) = (4, 4, 32);
+    let g = mmm_cdag(n);
+    // C(i,j)#k is vertex 2n² + (i·n + j)·n + k; a 2 × 2 grid of processors
+    // owns the 2 × 2 blocks of C
+    let owner = |v: u32| {
+        let ij = (v as usize - 2 * n * n) / n;
+        2 * (ij / n / 2) + ij % n / 2
+    };
+    let par = execute_parallel(&g, &owner_computes_schedule(&g, p, owner), p, m)
+        .expect("owner-computes keeps every working set within M");
+    let seq = execute(&g, &greedy_schedule(&g, m), m).expect("Belady schedules are valid");
+    out += &format!(
+        "\nSection 5 parallel game, MMM n = {n} on P = {p} processors, each computing one 2 × 2 block of C:\n\n"
+    );
+    out += &header(
+        "M per processor | max Q per processor | total Q | sequential Belady Q | bound/P (Lemma 9)",
+    );
+    out += &format!(
+        "| {m} | {} | {} | {} | {:.1} |\n",
+        par.q_max(),
+        par.q_total(),
+        seq.q(),
+        mmm_bound(n as f64, m as f64) / p as f64
+    );
     out
 }
 
@@ -592,7 +682,7 @@ mod tests {
         let unterminated = format!("{}{}", &good[..at], &good[at + CLOSE.len() + 1..]);
         assert_eq!(
             check(&unterminated, new),
-            Err(ReproError::Unterminated(BLOCKS[5].0.into()))
+            Err(ReproError::Unterminated(BLOCKS[BLOCKS.len() - 1].0.into()))
         );
         let duplicated = format!("{good}\n{}", fenced("fig7", &new("fig7")));
         assert_eq!(

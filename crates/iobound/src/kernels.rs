@@ -1,7 +1,8 @@
 //! End-to-end lower-bound derivations for the kernels the paper discusses:
 //! LU factorization (Section 6, the headline result), matrix multiplication,
-//! and Cholesky factorization, with both the machinery-derived numeric
-//! values and the paper's closed forms.
+//! Cholesky factorization and the §4.1/§4.2 reuse examples. Each bound is
+//! derived once, by the ψ/ρ machinery; `repro theory` prints it next to the
+//! paper's closed form.
 
 use crate::program::{shapes, StatementShape};
 use crate::reuse::{analyze, apply_output_reuse, StatementInstance};
@@ -78,12 +79,6 @@ pub fn lu_bound(n: f64, m: f64) -> LuBound {
     }
 }
 
-/// The paper's closed-form sequential LU bound
-/// `(2N³ − 6N² + 4N)/(3√M) + N(N−1)/2`.
-pub fn lu_bound_closed_form(n: f64, m: f64) -> f64 {
-    (2.0 * n * n * n - 6.0 * n * n + 4.0 * n).max(0.0) / (3.0 * m.sqrt()) + n * (n - 1.0) / 2.0
-}
-
 /// Matrix-multiplication bound: `Q ≥ 2N³/√M` (and `/P` in parallel).
 pub fn mmm_bound(n: f64, m: f64) -> f64 {
     let rho = statement_rho(&shapes::mmm(), m, 0);
@@ -100,26 +95,12 @@ pub fn cholesky_bound(n: f64, m: f64) -> f64 {
     q_lower_bound(domain, rho)
 }
 
-/// Householder-QR bound (extension; Ballard et al. asymptotics): the
-/// trailing update `A[i,j] -= v[i]·w[j]` per reflector is MMM-shaped with
-/// domain `Σ_k (N−k)² ≈ N³/3`, and the `w = Aᵀv` products contribute the
-/// same domain again: `Q ≳ 4N³/(3√M)`.
-pub fn qr_bound(n: f64, m: f64) -> f64 {
-    let rho = statement_rho(&shapes::mmm(), m, 0);
-    // two MMM-shaped sweeps over the triangular domain
-    q_lower_bound(2.0 * lu_s2_domain(n), rho)
-}
-
-/// Tensor-contraction bound for `C[i,j] += A[i,l,m]·B[l,m,j]` with
-/// extents `(n_i, n_j, n_l·n_m = n_lm)`: same intensity as MMM
-/// (`ρ = √M/2`), so `Q ≥ 2·n_i·n_j·n_lm/√M`.
-pub fn tensor_contraction_bound(n_i: f64, n_j: f64, n_lm: f64, m: f64) -> f64 {
-    let rho = statement_rho(&shapes::tensor_contraction_4d(), m, 0);
-    q_lower_bound(n_i * n_j * n_lm, rho)
-}
-
-/// The §4.1 two-statement fusion example: returns `(Q_S, Q_T, Reuse(B),
-/// Q_tot)`, expected `(N³/M, N³/M, N³/M, N³/M)`.
+/// The §4.1 two-statement fusion example, `S: D[i,j,k] = A[i,k]·B[k,j]`
+/// and `T: E[i,j,k] = C[i,j]·B[k,j]`: returns `(Q_S, Q_T, Reuse(B),
+/// Q_tot)`. Each statement alone has `ρ = M`, so `Q_S = Q_T = N³/M`; each
+/// of its `N³/M²` optimal subcomputations reads `M` elements of `B`, so
+/// Lemma 7 gives `Reuse(B) = N³/M`; and `Q_tot = Q_S + Q_T − Reuse(B) =
+/// N³/M`.
 pub fn sec41_example(n: f64, m: f64) -> (f64, f64, f64, f64) {
     let s = analyze(
         &StatementInstance {
@@ -174,8 +155,9 @@ mod tests {
             let b = lu_bound(n, m);
             assert_close(b.rho_s1, 1.0, 1e-9);
             assert_close(b.rho_s2, m.sqrt() / 2.0, 1e-3);
-            // closed form uses the same domain polynomials up to rounding
-            let cf = lu_bound_closed_form(n, m);
+            // the paper's closed form (2N³−6N²+4N)/(3√M) + N(N−1)/2
+            let cf =
+                (2.0 * n * n * n - 6.0 * n * n + 4.0 * n) / (3.0 * m.sqrt()) + n * (n - 1.0) / 2.0;
             assert_close(b.q_total, cf, 2e-2);
         }
     }
@@ -225,21 +207,6 @@ mod tests {
         assert_close(alone, 2.0 * n * n * n / m.sqrt(), 1e-2);
         assert_close(combined, n * n * n / m, 1e-2);
         assert!(combined < alone);
-    }
-
-    #[test]
-    fn qr_bound_shape() {
-        let (n, m) = (2048.0, 1024.0);
-        assert_close(qr_bound(n, m), 4.0 * n * n * n / (3.0 * m.sqrt()), 5e-2);
-        // QR moves more than LU's S2 (two sweeps vs one)
-        assert!(qr_bound(n, m) > q_lower_bound(lu_s2_domain(n), m.sqrt() / 2.0));
-    }
-
-    #[test]
-    fn tensor_contraction_bound_matches_mmm_form() {
-        let (ni, nj, nlm, m) = (512.0, 256.0, 1024.0, 4096.0);
-        let q = tensor_contraction_bound(ni, nj, nlm, m);
-        assert_close(q, 2.0 * ni * nj * nlm / m.sqrt(), 1e-2);
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! 3. minimize the computational intensity `ρ(X) = ψ(X)/(X−M)` and apply
 //!    the out-degree-one cap ([`rho`], Lemmas 2 and 6),
 //! 4. compose statements through input/output reuse ([`reuse`], Lemmas 7–8),
-//! 5. divide by `P` for the parallel machine ([`rho::q_lower_bound_parallel`],
+//! 5. divide by `P` for the parallel machine ([`LuBound::parallel`],
 //!    Lemma 9).
 //!
 //! [`kernels`] packages the full derivations for LU (the paper's Section 6
 //! headline bound `2N³/(3P√M) + O(N²/P)`), MMM, Cholesky, and the §4.1/§4.2
-//! worked examples; [`verify`] cross-checks soundness against executable
-//! pebbling schedules from the `pebbling` crate.
+//! worked examples; `repro theory` prints them. [`verify`] runs the
+//! `pebbling` crate's schedules and exact search against those bounds,
+//! which `repro pebbles` prints.
 //!
 //! # Example
 //!
@@ -23,19 +24,17 @@
 //! `≈ 2N³/(3√M)` elements between fast and slow memory:
 //!
 //! ```
-//! use iobound::{lu_bound, lu_bound_closed_form};
+//! use iobound::{lu_bound, LuBound};
 //!
 //! let (n, m) = (1024.0, 4096.0);
 //! let bound = lu_bound(n, m);
-//! // the closed form agrees with the composed per-statement derivation
-//! let closed = lu_bound_closed_form(n, m);
-//! assert!((bound.q_total - closed).abs() / closed < 0.2);
-//! assert!(closed > 2.0 * n * n * n / (3.2 * m.sqrt()));
+//! // the leading term, plus the lower-order S1 and S2 terms
+//! assert!(bound.q_total > LuBound::leading_term(n, m, 1));
+//! assert!(bound.q_total < 1.1 * LuBound::leading_term(n, m, 1));
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod frontend;
 pub mod intensity;
 pub mod kernels;
 pub mod program;
@@ -43,9 +42,8 @@ pub mod reuse;
 pub mod rho;
 pub mod verify;
 
-pub use frontend::{lu_program, Bound, NestBuilder, NestedStatement};
 pub use intensity::{psi, Psi, PsiSolution};
-pub use kernels::{lu_bound, lu_bound_closed_form, mmm_bound, LuBound};
+pub use kernels::{lu_bound, mmm_bound, LuBound};
 pub use program::{shapes, AccessTerm, StatementShape};
 pub use reuse::{analyze, apply_output_reuse, input_reuse, StatementInstance};
-pub use rho::{minimize_rho, q_lower_bound, q_lower_bound_parallel, statement_rho, RhoResult};
+pub use rho::{minimize_rho, q_lower_bound, statement_rho, RhoResult};

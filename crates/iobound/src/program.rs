@@ -77,11 +77,6 @@ impl StatementShape {
         })
     }
 
-    /// The term accessing `array`, if present.
-    pub fn term(&self, array: &str) -> Option<&AccessTerm> {
-        self.terms.iter().find(|t| t.array == array)
-    }
-
     /// Replace the coefficient of the term on `array` (for reuse analysis).
     ///
     /// # Panics
@@ -163,28 +158,20 @@ pub mod shapes {
             .with_term("B", &[K, J])
     }
 
-    /// A 4-index tensor contraction `C[i,j] += A[i,l,m] * B[l,m,j]`
-    /// (a coupled-cluster-style contraction, the "more general tensor
-    /// contractions" of Section 2.2): variables `[i, j, l, m]`, with the
-    /// fused contraction pair `(l, m)` appearing in both inputs. Its
-    /// intensity matches MMM with `K = L·M` — the solver must recover
-    /// `ψ(X) = (X/3)^{3/2}` despite the 4-variable domain.
-    pub fn tensor_contraction_4d() -> StatementShape {
-        StatementShape::new("TC4", 4)
-            .with_term("A", &[0, 2, 3])
-            .with_term("B", &[2, 3, 1])
-            .with_term("C", &[0, 1])
+    /// Figure 2a `C[i,j] = f(A[i,j], b[j])`: one out-degree-one input per
+    /// vertex (Lemma 6, `u = 1`).
+    pub fn fig2a() -> StatementShape {
+        StatementShape::new("Fig. 2a", 2)
+            .with_term("A", &[I, J])
+            .with_term("b", &[J])
     }
 
-    /// A 1D convolution-like statement `Out[i] += W[k] * In[i]` where the
-    /// input access collapses to one variable: the weights array is tiny
-    /// and reusable, so the intensity is governed by the out-degree-one
-    /// input stream (Lemma 6 with u = 0 here; the optimization alone gives
-    /// an unbounded-looking ψ capped by the `In` term).
-    pub fn stencil_like() -> StatementShape {
-        StatementShape::new("Stencil", 2)
-            .with_term("W", &[1])
-            .with_term("In", &[0])
+    /// Figure 2b `c[i] = f(a[i], b[i])`: two out-degree-one inputs per
+    /// vertex (Lemma 6, `u = 2`).
+    pub fn fig2b() -> StatementShape {
+        StatementShape::new("Fig. 2b", 1)
+            .with_term("a", &[I])
+            .with_term("b", &[I])
     }
 }
 
@@ -202,8 +189,8 @@ mod tests {
     #[test]
     fn lu_s1_access_dims() {
         let s = lu_s1();
-        assert_eq!(s.term("A_ik").unwrap().vars.len(), 2);
-        assert_eq!(s.term("A_kk").unwrap().vars, vec![0]);
+        assert_eq!(s.terms[0].vars.len(), 2);
+        assert_eq!(s.terms[1].vars, vec![0]);
         assert!(s.all_vars_constrained());
     }
 

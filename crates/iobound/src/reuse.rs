@@ -91,17 +91,6 @@ pub fn input_reuse(a: &StatementAnalysis, b: &StatementAnalysis, array: &str) ->
     }
 }
 
-/// Case I composition: `Q_tot ≥ Σ Q_i − Σ Reuse(A_j)` over the shared
-/// arrays listed in `shared` (pairs of statement indices and array name).
-pub fn case1_bound(analyses: &[StatementAnalysis], shared: &[(usize, usize, &str)]) -> f64 {
-    let q_sum: f64 = analyses.iter().map(|a| a.q).sum();
-    let reuse_sum: f64 = shared
-        .iter()
-        .map(|&(i, j, arr)| input_reuse(&analyses[i], &analyses[j], arr))
-        .sum();
-    (q_sum - reuse_sum).max(0.0)
-}
-
 /// Case II / Corollary 1: weaken the consumer's dominator term on `array`
 /// by the producer's intensity — the term's coefficient becomes
 /// `1/ρ_producer` (dropped entirely if the producer recomputes for free).
@@ -137,6 +126,10 @@ mod tests {
         assert!((a - b).abs() <= rel * b.abs().max(1e-12), "{a} !~ {b}");
     }
 
+    fn coeff(shape: &StatementShape, array: &str) -> f64 {
+        shape.terms.iter().find(|t| t.array == array).unwrap().coeff
+    }
+
     fn sec41_instance(shape: StatementShape, n: f64) -> StatementInstance {
         StatementInstance {
             shape,
@@ -157,8 +150,8 @@ mod tests {
         assert_close(t.q, n * n * n / m, 1e-2);
         let reuse = input_reuse(&s, &t, "B");
         assert_close(reuse, n * n * n / m, 1e-2);
-        let q_tot = case1_bound(&[s, t], &[(0, 1, "B")]);
-        assert_close(q_tot, n * n * n / m, 1e-2);
+        // Case I composition: Q_tot >= Q_S + Q_T - Reuse(B)
+        assert_close(s.q + t.q - reuse, n * n * n / m, 1e-2);
     }
 
     #[test]
@@ -179,7 +172,7 @@ mod tests {
         let n = 2048.0;
         let m = 1024.0;
         let weakened = apply_output_reuse(&shapes::mmm(), "A", f64::INFINITY);
-        assert_eq!(weakened.term("A").unwrap().coeff, 0.0);
+        assert_eq!(coeff(&weakened, "A"), 0.0);
         let inst = StatementInstance {
             shape: weakened,
             domain_size: n * n * n,
@@ -211,24 +204,13 @@ mod tests {
     #[test]
     fn output_reuse_with_moderate_rho_halves_coefficient() {
         let weakened = apply_output_reuse(&shapes::mmm(), "B", 2.0);
-        assert_eq!(weakened.term("B").unwrap().coeff, 0.5);
+        assert_eq!(coeff(&weakened, "B"), 0.5);
         // weaker constraint => larger psi => larger rho at same X... but
         // the minimized bound can only drop or stay:
         let m = 256.0;
         let q_orig = q_lower_bound(1e9, crate::rho::statement_rho(&shapes::mmm(), m, 0));
         let q_weak = q_lower_bound(1e9, crate::rho::statement_rho(&weakened, m, 0));
         assert!(q_weak <= q_orig + 1.0);
-    }
-
-    #[test]
-    fn case1_never_negative() {
-        let n = 64.0;
-        let m = 32.0;
-        let s = analyze(&sec41_instance(shapes::sec41_s(), n), m);
-        let t = analyze(&sec41_instance(shapes::sec41_t(), n), m);
-        // artificially count the same reuse many times
-        let shared = vec![(0usize, 1usize, "B"); 10];
-        assert!(case1_bound(&[s, t], &shared) >= 0.0);
     }
 
     #[test]

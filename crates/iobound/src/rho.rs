@@ -16,23 +16,16 @@ pub struct RhoResult {
 }
 
 /// Minimize `ρ(X) = ψ(X)/(X − M)` by golden-section search on `log X`
-/// over `X ∈ (M, x_hi]`.
+/// over `X ∈ (M, 10⁹·(M+2)]`. Statements whose ρ decreases monotonically,
+/// like LU-S1, have their infimum at `X → ∞`; the cap makes the search
+/// total, and the Lemma 6 cap of [`statement_rho`] then takes over.
 ///
 /// Returns `None` when ψ is unbounded (ρ = ∞ — a statement with a free
 /// iteration variable, like §4.2's input-free statement).
 pub fn minimize_rho(shape: &StatementShape, m: f64) -> Option<RhoResult> {
-    minimize_rho_upto(shape, m, 1e9 * (m + 2.0))
-}
-
-/// [`minimize_rho`] with an explicit upper search limit (statements whose
-/// ρ decreases monotonically, like LU-S1, have their infimum at `X → ∞`;
-/// the cap makes the search total and the Lemma 6 bound then takes over).
-pub fn minimize_rho_upto(shape: &StatementShape, m: f64, x_hi: f64) -> Option<RhoResult> {
     assert!(m >= 0.0);
+    let x_hi = 1e9 * (m + 2.0);
     let x_lo = shape.min_feasible_x().max(m + 1e-9) + 1e-9;
-    if x_hi <= x_lo {
-        return None;
-    }
     let rho_at = |x: f64| -> Option<f64> {
         match psi(shape, x) {
             Psi::Bounded(s) => Some(s.value / (x - m)),
@@ -95,11 +88,6 @@ pub fn q_lower_bound(domain_size: f64, rho: f64) -> f64 {
     } else {
         domain_size / rho
     }
-}
-
-/// Lemma 9: parallel I/O lower bound per processor, `Q ≥ |V| / (P·ρ)`.
-pub fn q_lower_bound_parallel(domain_size: f64, rho: f64, p: usize) -> f64 {
-    q_lower_bound(domain_size, rho) / p as f64
 }
 
 #[cfg(test)]
@@ -169,7 +157,6 @@ mod tests {
     #[test]
     fn q_bounds_scale() {
         assert_close(q_lower_bound(1000.0, 4.0), 250.0, 1e-12);
-        assert_close(q_lower_bound_parallel(1000.0, 4.0, 10), 25.0, 1e-12);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl CDag {
         self.succs[v as usize].len()
     }
 
-    /// Label of `v`.
-    pub fn label(&self, v: VertexId) -> &str {
-        &self.labels[v as usize]
-    }
-
     /// Vertices with no predecessors (the graph inputs, which start with
     /// blue pebbles).
     pub fn inputs(&self) -> Vec<VertexId> {

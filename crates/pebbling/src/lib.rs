@@ -10,9 +10,12 @@
 //!   validator, and a Belady-eviction greedy scheduler,
 //! * [`parallel`] — the `P`-processor game with per-processor hues (Sec. 5),
 //! * [`dominator`] — exact minimum dominator sets via max-flow,
-//! * [`partition`] — X-partition validation, greedy construction, and the
-//!   Lemma 1 bound,
-//! * [`schedule`] — blocked compute orders whose I/O approaches the bounds.
+//! * [`partition`] — X-partition validation and greedy construction,
+//! * [`schedule`] — blocked compute orders whose I/O approaches the bounds,
+//! * [`optimal`] — the exact optimal pebbling of cDAGs of ≤ 20 vertices.
+//!
+//! `repro pebbles` prints what these compute on the paper's small cDAGs,
+//! next to the `iobound` crate's bounds.
 //!
 //! # Example
 //!
@@ -34,8 +37,8 @@
 pub mod builders;
 pub mod cdag;
 pub mod dominator;
-pub mod dot;
 pub mod game;
+pub mod optimal;
 pub mod parallel;
 pub mod partition;
 pub mod schedule;
@@ -44,8 +47,6 @@ pub use builders::{fig2a_cdag, fig2b_cdag, lu_cdag, mmm_cdag, LuVertexGroups};
 pub use cdag::{CDag, VertexId};
 pub use dominator::{min_dominator_size, minimum_set};
 pub use game::{execute, greedy_schedule, GameError, GameStats, Move};
+pub use optimal::optimal_io;
 pub use parallel::{execute_parallel, owner_computes_schedule, PMove, ParallelGameStats};
-pub use partition::{greedy_partition, lemma1_bound, XPartition};
-
-pub mod optimal;
-pub use optimal::{optimal_io, OptimalResult};
+pub use partition::{greedy_partition, XPartition};

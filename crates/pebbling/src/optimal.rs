@@ -1,13 +1,13 @@
 //! Exact optimal red-blue pebbling for tiny cDAGs.
 //!
 //! Finding an optimal pebbling is P-SPACE complete in general (Section
-//! 2.3.4), but for graphs of ≤ ~16 vertices a Dijkstra search over game
+//! 2.3.4), but for graphs of ≤ 20 vertices a Dijkstra search over game
 //! states is tractable. This gives *ground truth* to validate both the
 //! greedy scheduler (never better than optimal) and the symbolic lower
 //! bounds (never above optimal) on small instances — closing the loop
 //! between the paper's theory and executable schedules.
 //!
-//! State: (red set, blue set, computed set) as bitmasks; transitions are
+//! State: (red set, blue set) as bitmasks; transitions are
 //! the four game moves; edge weight 1 for load/store, 0 for compute and
 //! discard. The search minimizes `Q` to reach "all outputs blue".
 
@@ -18,21 +18,12 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::cdag::{CDag, VertexId};
 
-/// Result of the exact search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptimalResult {
-    /// The minimum number of I/O operations.
-    pub q: u64,
-    /// Number of states expanded (search effort diagnostic).
-    pub states_explored: usize,
-}
-
 /// Compute the optimal I/O cost `Q` of pebbling `g` with `m` red pebbles.
 ///
 /// # Panics
 /// Panics if the graph has more than 20 vertices (state space too large)
 /// or if `m` is too small for any valid pebbling (max in-degree + 1).
-pub fn optimal_io(g: &CDag, m: usize) -> OptimalResult {
+pub fn optimal_io(g: &CDag, m: usize) -> u64 {
     let n = g.len();
     assert!(n <= 20, "exact search limited to 20 vertices");
     let max_indeg = (0..n as VertexId)
@@ -41,7 +32,6 @@ pub fn optimal_io(g: &CDag, m: usize) -> OptimalResult {
         .unwrap_or(0);
     assert!(m > max_indeg, "need at least max in-degree + 1 red pebbles");
 
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
     let mut input_mask: u32 = 0;
     for v in g.inputs() {
         input_mask |= 1 << v;
@@ -64,18 +54,13 @@ pub fn optimal_io(g: &CDag, m: usize) -> OptimalResult {
     let mut heap: BinaryHeap<Reverse<(u64, State)>> = BinaryHeap::new();
     dist.insert(start, 0);
     heap.push(Reverse((0, start)));
-    let mut explored = 0usize;
 
     while let Some(Reverse((q, (red, blue)))) = heap.pop() {
         if dist.get(&(red, blue)).copied() != Some(q) {
             continue; // stale entry
         }
-        explored += 1;
         if blue & output_mask == output_mask {
-            return OptimalResult {
-                q,
-                states_explored: explored,
-            };
+            return q;
         }
         let red_count = red.count_ones() as usize;
         let push = |heap: &mut BinaryHeap<Reverse<(u64, State)>>,
@@ -113,7 +98,6 @@ pub fn optimal_io(g: &CDag, m: usize) -> OptimalResult {
             }
             // discarding blue never helps reach "outputs blue" faster
         }
-        let _ = full;
     }
     unreachable!("a valid pebbling always exists with m >= max in-degree + 1")
 }
@@ -137,7 +121,7 @@ mod tests {
     fn path_needs_one_load_one_store() {
         let g = path(5);
         let opt = optimal_io(&g, 2);
-        assert_eq!(opt.q, 2); // load the input, chain computes, store output
+        assert_eq!(opt, 2); // load the input, chain computes, store output
     }
 
     #[test]
@@ -146,7 +130,7 @@ mod tests {
         let n = 3;
         let g = fig2b_cdag(n);
         let opt = optimal_io(&g, 3);
-        assert_eq!(opt.q, (3 * n) as u64);
+        assert_eq!(opt, (3 * n) as u64);
     }
 
     #[test]
@@ -162,44 +146,22 @@ mod tests {
             let moves = greedy_schedule(&g, m);
             let greedy_q = execute(&g, &moves, m).unwrap().q();
             assert!(
-                greedy_q >= opt.q,
-                "greedy ({greedy_q}) below optimal ({})?!",
-                opt.q
+                greedy_q >= opt,
+                "greedy ({greedy_q}) below optimal ({opt})?!"
             );
             // and greedy should be within a small factor on these tiny graphs
-            assert!(
-                greedy_q <= 3 * opt.q,
-                "greedy too weak: {greedy_q} vs {}",
-                opt.q
-            );
+            assert!(greedy_q <= 3 * opt, "greedy too weak: {greedy_q} vs {opt}");
         }
-    }
-
-    #[test]
-    fn symbolic_bounds_never_exceed_optimal() {
-        // the MMM bound 2n^3/sqrt(m) - 3m (clamped at compulsory traffic)
-        let n = 2;
-        let m = 5;
-        let g = mmm_cdag(n);
-        let opt = optimal_io(&g, m);
-        let bound = crate::schedule::mmm_io_lower_bound(n, m);
-        assert!(
-            opt.q as f64 >= bound,
-            "optimal {} below the symbolic bound {bound}",
-            opt.q
-        );
-        // compulsory traffic: all inputs + all outputs
-        assert!(opt.q >= (g.inputs().len()) as u64);
     }
 
     #[test]
     fn more_memory_weakly_improves_optimal() {
         let g = fig2b_cdag(3); // 9 vertices, small state space
-        let q3 = optimal_io(&g, 3).q;
-        let q4 = optimal_io(&g, 4).q;
+        let q3 = optimal_io(&g, 3);
+        let q4 = optimal_io(&g, 4);
         assert!(q4 <= q3);
         // compulsory traffic only once everything fits
-        let q9 = optimal_io(&g, 9).q;
+        let q9 = optimal_io(&g, 9);
         assert_eq!(q9, (g.inputs().len() + g.outputs().len()) as u64);
     }
 

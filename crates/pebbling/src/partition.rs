@@ -1,4 +1,4 @@
-//! X-partitions (Section 2.3.3) and the Lemma 1/2 bound plumbing.
+//! X-partitions (Section 2.3.3): validation and greedy construction.
 //!
 //! An X-partition splits the computation into disjoint subcomputations with
 //! (a) no cyclic dependencies between them and (b) dominator and minimum
@@ -176,32 +176,10 @@ pub fn greedy_partition(g: &CDag, x: usize) -> XPartition {
     XPartition { subsets }
 }
 
-/// Lemma 1: `Q >= n_compute / rho` with `rho = v_max / (X - M)`.
-///
-/// `v_max` must upper-bound the largest subcomputation over *all* valid
-/// X-partitions for the chosen `x`; callers obtain it analytically (e.g.
-/// from the `iobound` crate) or from structural arguments.
-pub fn lemma1_bound(n_compute: usize, v_max: usize, x: usize, m: usize) -> f64 {
-    assert!(x > m, "Lemma 1 requires X > M");
-    assert!(v_max > 0);
-    let rho = v_max as f64 / (x - m) as f64;
-    n_compute as f64 / rho
-}
-
-/// Lemma from [Kwasniewski et al. 2019] (quoted in Section 2.3.3): an
-/// I/O-optimal schedule performing `q` I/O operations induces an X-partition
-/// of size at most `(q + x - m)/(x - m)`. Inverted, a partition-size lower
-/// bound `s_min` yields `q >= (s_min - 1) * (x - m)`.
-pub fn schedule_size_bound(s_min: usize, x: usize, m: usize) -> u64 {
-    assert!(x > m);
-    (s_min.saturating_sub(1) as u64) * (x - m) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::{lu_cdag, mmm_cdag};
-    use crate::game::{execute, greedy_schedule};
 
     #[test]
     fn greedy_partition_validates_on_mmm() {
@@ -287,35 +265,5 @@ mod tests {
             p.validate(&g, 4),
             Err(PartitionError::DominatorTooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn lemma1_numbers() {
-        // n=8 compute vertices, v_max=4, X=6, M=2 -> rho=1 -> Q >= 8
-        assert_eq!(lemma1_bound(8, 4, 6, 2), 8.0);
-    }
-
-    #[test]
-    fn schedule_q_dominates_lemma1_bound_on_mmm() {
-        // End-to-end consistency: an actual valid schedule's Q must beat
-        // any Lemma-1 bound computed from a *valid* v_max upper bound.
-        let n = 3;
-        let g = mmm_cdag(n);
-        let m = 8;
-        let moves = greedy_schedule(&g, m);
-        let q = execute(&g, &moves, m).unwrap().q();
-        // For MMM, |V_max| <= (X/2)^... use the known psi(X): with X red
-        // pebbles one can compute at most (X/2)^(3/2)... conservatively use
-        // the loose-but-valid v_max = X^2 (anything >= true max keeps the
-        // bound sound, just weaker).
-        let x = 2 * m;
-        let bound = lemma1_bound(n * n * n, x * x, x, m);
-        assert!(q as f64 >= bound, "q={q} < bound={bound}");
-    }
-
-    #[test]
-    fn schedule_size_bound_inverts_lemma() {
-        assert_eq!(schedule_size_bound(5, 10, 4), 24);
-        assert_eq!(schedule_size_bound(1, 10, 4), 0);
     }
 }
